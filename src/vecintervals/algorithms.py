@@ -5,11 +5,16 @@ in-place insertion sort.  Each one reads or writes vector elements only at
 indices drawn from a validated interval, so none of them can go out of
 bounds; ``insertion_sort_buggy`` is the deliberate exception, kept to show
 what the checked accessors report when the window is off by one.
+
+``OPERATIONS`` is the one list of the operations the command line,
+``traced_run`` and the selftest offer: adding an operation is adding a row.
 """
 
 from __future__ import annotations
 
-from .intervals import Interval, fold_lr, fold_rl
+from typing import Callable, NamedTuple
+
+from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, fold_lr, fold_rl
 from .vectors import Vector, vfold_lr, vfold_rl
 
 
@@ -23,12 +28,17 @@ class LengthMismatchError(ValueError):
 
 def sum_interval_rl(low: int, high: int) -> int:
     """Sum of the integers in ``[low..high]``, folded highest-first (0 when empty)."""
-    return fold_rl(Interval(low, high), 0, lambda i, acc: i + acc)
+    return _sum_interval(low, high, RIGHT_TO_LEFT)
 
 
 def sum_interval_lr(low: int, high: int) -> int:
     """Same sum folded lowest-first; agrees with ``sum_interval_rl`` on every interval."""
-    return fold_lr(Interval(low, high), 0, lambda i, acc: i + acc)
+    return _sum_interval(low, high, LEFT_TO_RIGHT)
+
+
+def _sum_interval(low: int, high: int, direction: str, observer=None) -> int:
+    fold = fold_rl if direction == RIGHT_TO_LEFT else fold_lr
+    return fold(Interval(low, high), 0, lambda i, acc: i + acc, observer=observer)
 
 
 def avg_vector(vec: Vector) -> float:
@@ -61,11 +71,6 @@ def dot_product(v1: Vector, v2: Vector) -> float:
     )
 
 
-# Placeholder for result slots merge has not written yet.  Identity-checked
-# (``is``), so input vectors that genuinely contain NaN cannot spoof it.
-_UNFILLED = float("nan")
-
-
 def merge_sorted(v1: Vector, v2: Vector) -> Vector:
     """Merge two non-decreasing vectors into a new sorted vector.
 
@@ -76,7 +81,7 @@ def merge_sorted(v1: Vector, v2: Vector) -> Vector:
     for sorted inputs.  On equal heads the element of ``v2`` is taken first.
     """
     n1, n2 = len(v1), len(v2)
-    res = Vector([_UNFILLED] * (n1 + n2), label="result")
+    res = Vector([0] * (n1 + n2), label="result")
     res.observer = v1.observer if v1.observer is not None else v2.observer
     iv1 = v1.full_interval()
     iv2 = v2.full_interval()
@@ -101,7 +106,6 @@ def merge_sorted(v1: Vector, v2: Vector) -> Vector:
             res.set(low_res, v2.get(low2))
             low2 += 1
         low_res += 1
-    assert all(x is not _UNFILLED for x in res._items), "merge left a result slot unwritten"
     return res
 
 
@@ -149,3 +153,38 @@ def insertion_sort_buggy(vec: Vector) -> None:
         return
     for low in range(n - 1, -1, -1):
         insert_step(vec, low, n - 1)
+
+
+def _returning_vector(sort: Callable[[Vector], None]) -> Callable[[Vector], Vector]:
+    """An in-place sort as an operation that returns the vector it sorted."""
+    def run(vec: Vector) -> Vector:
+        sort(vec)
+        return vec
+    return run
+
+
+class _Operation(NamedTuple):
+    """One operation the CLI, ``traced_run`` and the selftest offer, keyed by name in OPERATIONS.
+
+    ``arity`` is the number of vector inputs; 0 means the operation takes an
+    interval instead and ``run(low, high, direction, observer=None)`` folds it
+    in that direction.  Otherwise ``run(*vectors)`` returns a number or a
+    ``Vector``, and the inputs' observers see every step.
+    """
+
+    command: str
+    arity: int
+    run: Callable
+    help: str
+
+
+OPERATIONS = {
+    "sum": _Operation("sum-interval", 0, _sum_interval, "sum the integers in [low..high]"),
+    "avg": _Operation("avg", 1, avg_vector, "average of a vector"),
+    "dot": _Operation("dot", 2, dot_product, "dot product of two vectors"),
+    "merge": _Operation("merge", 2, merge_sorted, "merge two sorted vectors"),
+    "insort": _Operation("insort", 1, _returning_vector(insertion_sort_in_place),
+                         "insertion sort a vector"),
+    "insort_buggy": _Operation("insort-buggy", 1, _returning_vector(insertion_sort_buggy),
+                               "run the known-broken sort to show the out-of-bounds diagnostic"),
+}

@@ -23,21 +23,14 @@ import math
 import sys
 from pathlib import Path
 
-from .algorithms import (
-    avg_vector,
-    dot_product,
-    insertion_sort_buggy,
-    insertion_sort_in_place,
-    merge_sorted,
-    sum_interval_lr,
-    sum_interval_rl,
-)
+from .algorithms import OPERATIONS
 from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from .selftest import run_reference_cases
 from .trace import trace_interval, traced_run
 from .vectors import OutOfBoundsError, Vector
 
 _DIRECTIONS = {"rl": RIGHT_TO_LEFT, "lr": LEFT_TO_RIGHT}
+_VECTOR_FLAGS = ("--a", "--b")
 
 
 class VectorParseError(ValueError):
@@ -108,6 +101,8 @@ def _print_record(record: dict, stream=None) -> None:
 
 
 def _emit_result(machine: bool, value) -> None:
+    if isinstance(value, Vector):
+        value = value.to_list()
     if machine:
         _print_record({"kind": "result", "value": value})
     elif isinstance(value, list):
@@ -157,47 +152,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sum-interval", help="sum the integers in [low..high]")
-    p.add_argument("--low", type=int, required=True)
-    p.add_argument("--high", type=int, required=True)
-    p.add_argument("--direction", choices=("rl", "lr"), default="rl",
-                   help="fold direction: rl peels the high end first (default), lr the low end")
-    _machine_flag(p)
-
-    p = sub.add_parser("avg", help="average of a vector")
-    _vector_flag(p, "--a")
-    _machine_flag(p)
-
-    p = sub.add_parser("dot", help="dot product of two vectors")
-    _vector_flag(p, "--a")
-    _vector_flag(p, "--b")
-    _machine_flag(p)
-
-    p = sub.add_parser("merge", help="merge two sorted vectors")
-    _vector_flag(p, "--a")
-    _vector_flag(p, "--b")
-    _machine_flag(p)
-
-    p = sub.add_parser("insort", help="insertion sort a vector")
-    _vector_flag(p, "--a")
-    _machine_flag(p)
-
-    p = sub.add_parser("insort-buggy",
-                       help="run the known-broken sort to show the out-of-bounds diagnostic")
-    _vector_flag(p, "--a")
-    _machine_flag(p)
+    for op in OPERATIONS.values():
+        p = sub.add_parser(op.command, help=op.help)
+        p.set_defaults(handler=_run_operation, operation=op)
+        if op.arity == 0:
+            p.add_argument("--low", type=int, required=True)
+            p.add_argument("--high", type=int, required=True)
+            p.add_argument("--direction", choices=("rl", "lr"), default="rl",
+                           help="fold direction: rl peels the high end first (default), "
+                                "lr the low end")
+        for flag in _VECTOR_FLAGS[:op.arity]:
+            _vector_flag(p, flag)
+        _machine_flag(p)
 
     p = sub.add_parser("trace", help="run an operation with step tracing")
+    p.set_defaults(handler=_run_trace)
     p.add_argument("target",
-                   choices=("interval", "sum", "avg", "dot", "merge", "insort", "insort-buggy"))
-    _vector_flag(p, "--a", required=False)
-    _vector_flag(p, "--b", required=False)
+                   choices=("interval", *(name.replace("_", "-") for name in OPERATIONS)))
+    for flag in _VECTOR_FLAGS:
+        _vector_flag(p, flag, required=False)
     p.add_argument("--low", type=int)
     p.add_argument("--high", type=int)
     p.add_argument("--direction", choices=("rl", "lr"), default="rl")
     _machine_flag(p)
 
     p = sub.add_parser("selftest", help="run the bundled example cases")
+    p.set_defaults(handler=_run_selftest)
     _machine_flag(p)
 
     return parser
@@ -208,41 +188,37 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _load_vec(arg: str) -> Vector:
-    return Vector(load_vector_argument(arg))
+def _load_vectors(args, op, what: str) -> tuple[Vector, ...]:
+    """The operation's vector inputs, read in flag order; a missing flag is a usage error."""
+    vectors = []
+    for flag in _VECTOR_FLAGS[:op.arity]:
+        arg = getattr(args, flag[2:])
+        _require(arg is not None, f"{what} requires {flag}")
+        vectors.append(Vector(load_vector_argument(arg)))
+    return tuple(vectors)
 
 
 def _run_trace(args, machine: bool) -> int:
     direction = _DIRECTIONS[args.direction]
-    if args.target == "interval":
+    what = f"trace {args.target}"
+    name = args.target.replace("-", "_")
+    op = OPERATIONS.get(name)  # None for "interval"
+    if op is None or op.arity == 0:
         _require(args.low is not None and args.high is not None,
-                 "trace interval requires --low and --high")
+                 f"{what} requires --low and --high")
+    if op is None:
         _emit_events(machine, trace_interval(args.low, args.high, direction))
         return 0
-    name = args.target.replace("-", "_")
-    vectors: tuple[Vector, ...] = ()
-    if name == "sum":
-        _require(args.low is not None and args.high is not None,
-                 "trace sum requires --low and --high")
-    else:
-        _require(args.a is not None, f"trace {args.target} requires --a")
-        vecs = [_load_vec(args.a)]
-        if name in ("dot", "merge"):
-            _require(args.b is not None, f"trace {args.target} requires --b")
-            vecs.append(_load_vec(args.b))
-        vectors = tuple(vecs)
-    outcome = traced_run(name, vectors, low=args.low, high=args.high, direction=direction)
+    outcome = traced_run(name, _load_vectors(args, op, what),
+                         low=args.low, high=args.high, direction=direction)
     _emit_events(machine, outcome.events)
     if outcome.error is not None:
         raise outcome.error
-    result = outcome.result
-    if isinstance(result, Vector):
-        result = result.to_list()
-    _emit_result(machine, result)
+    _emit_result(machine, outcome.result)
     return 0
 
 
-def _run_selftest(machine: bool) -> int:
+def _run_selftest(args, machine: bool) -> int:
     results = run_reference_cases()
     failed = sum(1 for r in results if not r.passed)
     if machine:
@@ -258,43 +234,20 @@ def _run_selftest(machine: bool) -> int:
     return 0 if failed == 0 else 1
 
 
-def _dispatch(args, machine: bool) -> int:
-    cmd = args.command
-    if cmd == "sum-interval":
-        if args.direction == "rl":
-            _emit_result(machine, sum_interval_rl(args.low, args.high))
-        else:
-            _emit_result(machine, sum_interval_lr(args.low, args.high))
-        return 0
-    if cmd == "avg":
-        _emit_result(machine, avg_vector(_load_vec(args.a)))
-        return 0
-    if cmd == "dot":
-        _emit_result(machine, dot_product(_load_vec(args.a), _load_vec(args.b)))
-        return 0
-    if cmd == "merge":
-        _emit_result(machine, merge_sorted(_load_vec(args.a), _load_vec(args.b)).to_list())
-        return 0
-    if cmd == "insort":
-        vec = _load_vec(args.a)
-        insertion_sort_in_place(vec)
-        _emit_result(machine, vec.to_list())
-        return 0
-    if cmd == "insort-buggy":
-        vec = _load_vec(args.a)
-        insertion_sort_buggy(vec)
-        _emit_result(machine, vec.to_list())
-        return 0
-    if cmd == "trace":
-        return _run_trace(args, machine)
-    return _run_selftest(machine)
+def _run_operation(args, machine: bool) -> int:
+    op = args.operation
+    if op.arity == 0:
+        _emit_result(machine, op.run(args.low, args.high, _DIRECTIONS[args.direction]))
+    else:
+        _emit_result(machine, op.run(*_load_vectors(args, op, args.command)))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     machine = getattr(args, "machine", False)
     try:
-        return _dispatch(args, machine)
+        return args.handler(args, machine)
     except VectorParseError as exc:
         _report_error(machine, "parse", str(exc))
         return 2

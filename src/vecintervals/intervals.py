@@ -81,21 +81,12 @@ def fold_rl(
     invocations complete from ``low`` upward even though the interval is
     consumed from ``high`` downward.
 
-    The loop below is the unrolled form of that recursion; it handles
+    The fold's loop is the unrolled form of that recursion; it handles
     intervals of any length without touching the call stack.  An observer
     (see the trace module) is told about each peel, in peel order, and about
     the empty interval that ends the walk.
     """
-    low, high = interval.low, interval.high
-    if observer is not None:
-        for i in range(high, low - 1, -1):
-            observer.interval_visit(i, Interval(low, i), RIGHT_TO_LEFT)
-        stopped_on = interval if low > high else Interval(low, low - 1)
-        observer.interval_stop(stopped_on, RIGHT_TO_LEFT)
-    acc = base
-    for i in range(low, high + 1):
-        acc = combine(i, acc)
-    return acc
+    return _fold(interval, base, combine, observer, RIGHT_TO_LEFT)
 
 
 def fold_lr(
@@ -113,13 +104,38 @@ def fold_lr(
     ``high`` downward; the peel order reported to an observer runs from
     ``low`` upward.
     """
-    low, high = interval.low, interval.high
+    return _fold(interval, base, combine, observer, LEFT_TO_RIGHT)
+
+
+def _walk(low: int, high: int, direction: str):
+    """The walk over ``[low..high]`` that peels the end ``direction`` names.
+
+    Returns ``(peels, before, stop, combines)``: the indices in peel order, a
+    function giving the interval each index is peeled from, the bounds of the
+    empty interval the walk ends on (the input itself when it is already
+    empty), and the order in which a fold's combine calls complete, the
+    reverse of the peels.  Intervals are only built for an observer, so an
+    unobserved walk costs no allocation beyond its ranges.
+    """
+    if direction == RIGHT_TO_LEFT:
+        peels, before, stop = (range(high, low - 1, -1), lambda i: Interval(low, i),
+                               (low, min(high, low - 1)))
+    elif direction == LEFT_TO_RIGHT:
+        peels, before, stop = (range(low, high + 1), lambda i: Interval(i, high),
+                               (max(low, high + 1), high))
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return peels, before, stop, peels[::-1]
+
+
+def _fold(interval: Interval, base: A, combine: Callable[[int, A], A], observer,
+          direction: str) -> A:
+    peels, before, stop, combines = _walk(interval.low, interval.high, direction)
     if observer is not None:
-        for i in range(low, high + 1):
-            observer.interval_visit(i, Interval(i, high), LEFT_TO_RIGHT)
-        stopped_on = interval if low > high else Interval(high + 1, high)
-        observer.interval_stop(stopped_on, LEFT_TO_RIGHT)
+        for i in peels:
+            observer.interval_visit(i, before(i), direction)
+        observer.interval_stop(Interval(*stop), direction)
     acc = base
-    for i in range(high, low - 1, -1):
+    for i in combines:
         acc = combine(i, acc)
     return acc

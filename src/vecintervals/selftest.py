@@ -9,15 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algorithms import (
-    avg_vector,
-    dot_product,
-    insertion_sort_in_place,
-    merge_sorted,
-    sum_interval_lr,
-    sum_interval_rl,
-)
-from .intervals import Interval
+from .algorithms import OPERATIONS
+from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Interval
 from .vectors import Vector
 
 NUMERIC_TOLERANCE = 0.01
@@ -35,65 +28,53 @@ def _check_empty(low: int, high: int, expected: bool) -> tuple[bool, str]:
     return actual == expected, f"is_empty({low}..{high}) = {actual}, expected {expected}"
 
 
-def _check_sum(low: int, high: int, expected: int) -> tuple[bool, str]:
-    rl = sum_interval_rl(low, high)
-    lr = sum_interval_lr(low, high)
-    ok = rl == expected and lr == expected
-    return ok, f"sum({low}..{high}) = {rl} rl / {lr} lr, expected {expected}"
+def _check_operation(name: str, inputs: tuple, expected) -> tuple[bool, str]:
+    """Run operation ``name`` on ``inputs``.
+
+    Interval operations are checked in both directions, vector results element
+    by element and numbers to within ``NUMERIC_TOLERANCE``.
+    """
+    op = OPERATIONS[name]
+    if op.arity == 0:
+        low, high = inputs
+        rl, lr = (op.run(low, high, direction) for direction in (RIGHT_TO_LEFT, LEFT_TO_RIGHT))
+        ok = rl == expected and lr == expected
+        return ok, f"{name}({low}..{high}) = {rl} rl / {lr} lr, expected {expected}"
+    actual = op.run(*(Vector(elements) for elements in inputs))
+    if isinstance(actual, Vector):
+        actual = actual.to_list()
+        return actual == expected, f"{name} = {actual}, expected {expected}"
+    ok = abs(actual - expected) <= NUMERIC_TOLERANCE
+    return ok, f"{name} = {actual}, expected {expected} +- {NUMERIC_TOLERANCE}"
 
 
-def _check_close(actual: float, expected: float) -> bool:
-    return abs(actual - expected) <= NUMERIC_TOLERANCE
-
-
-def _check_avg(elements: list[float], expected: float) -> tuple[bool, str]:
-    actual = avg_vector(Vector(elements))
-    return _check_close(actual, expected), f"avg = {actual}, expected {expected} +- 0.01"
-
-
-def _check_dot(a: list[float], b: list[float], expected: float) -> tuple[bool, str]:
-    actual = dot_product(Vector(a), Vector(b))
-    return _check_close(actual, expected), f"dot = {actual}, expected {expected} +- 0.01"
-
-
-def _check_merge(a: list[float], b: list[float], expected: list[float]) -> tuple[bool, str]:
-    actual = merge_sorted(Vector(a), Vector(b)).to_list()
-    return actual == expected, f"merge = {actual}, expected {expected}"
-
-
-def _check_insort(elements: list[float], expected: list[float]) -> tuple[bool, str]:
-    vec = Vector(elements)
-    insertion_sort_in_place(vec)
-    actual = vec.to_list()
-    return actual == expected, f"insort = {actual}, expected {expected}"
+_CASES = (
+    ("empty-check 3..4", _check_empty, 3, 4, False),
+    ("empty-check 30..30", _check_empty, 30, 30, False),
+    ("empty-check 5..4", _check_empty, 5, 4, True),
+    ("sum 10..1 both directions", _check_operation, "sum", (10, 1), 0),
+    ("sum 10..10 both directions", _check_operation, "sum", (10, 10), 10),
+    ("sum -1..1 both directions", _check_operation, "sum", (-1, 1), 0),
+    ("avg of [6,7,8,9]", _check_operation, "avg", ([6, 7, 8, 9],), 7.5),
+    ("avg of [1,2,3]", _check_operation, "avg", ([1, 2, 3],), 2),
+    ("dot of empty vectors", _check_operation, "dot", ([], []), 0),
+    ("dot [1,2,3].[1,2,3]", _check_operation, "dot", ([1, 2, 3], [1, 2, 3]), 14),
+    ("merge two empties", _check_operation, "merge", ([], []), []),
+    ("merge [10] and [2]", _check_operation, "merge", ([10], [2]), [2, 10]),
+    ("merge [1,4,6] and [2,4,5,8,9]", _check_operation, "merge", ([1, 4, 6], [2, 4, 5, 8, 9]),
+     [1, 2, 4, 4, 5, 6, 8, 9]),
+    ("insort singleton [10]", _check_operation, "insort", ([10],), [10]),
+    ("insort [10,3,7,17,11]", _check_operation, "insort", ([10, 3, 7, 17, 11],),
+     [3, 7, 10, 11, 17]),
+)
 
 
 def run_reference_cases() -> list[CaseResult]:
     """Run all fifteen reference cases; failures are reported, never raised."""
-    cases = [
-        ("empty-check 3..4", lambda: _check_empty(3, 4, False)),
-        ("empty-check 30..30", lambda: _check_empty(30, 30, False)),
-        ("empty-check 5..4", lambda: _check_empty(5, 4, True)),
-        ("sum 10..1 both directions", lambda: _check_sum(10, 1, 0)),
-        ("sum 10..10 both directions", lambda: _check_sum(10, 10, 10)),
-        ("sum -1..1 both directions", lambda: _check_sum(-1, 1, 0)),
-        ("avg of [6,7,8,9]", lambda: _check_avg([6, 7, 8, 9], 7.5)),
-        ("avg of [1,2,3]", lambda: _check_avg([1, 2, 3], 2)),
-        ("dot of empty vectors", lambda: _check_dot([], [], 0)),
-        ("dot [1,2,3].[1,2,3]", lambda: _check_dot([1, 2, 3], [1, 2, 3], 14)),
-        ("merge two empties", lambda: _check_merge([], [], [])),
-        ("merge [10] and [2]", lambda: _check_merge([10], [2], [2, 10])),
-        (
-            "merge [1,4,6] and [2,4,5,8,9]",
-            lambda: _check_merge([1, 4, 6], [2, 4, 5, 8, 9], [1, 2, 4, 4, 5, 6, 8, 9]),
-        ),
-        ("insort singleton [10]", lambda: _check_insort([10], [10])),
-        ("insort [10,3,7,17,11]", lambda: _check_insort([10, 3, 7, 17, 11], [3, 7, 10, 11, 17])),
-    ]
     results = []
-    for name, run in cases:
+    for name, check, *args in _CASES:
         try:
-            passed, detail = run()
+            passed, detail = check(*args)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CaseResult(name, passed, detail))

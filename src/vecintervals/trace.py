@@ -20,14 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algorithms import (
-    avg_vector,
-    dot_product,
-    insertion_sort_buggy,
-    insertion_sort_in_place,
-    merge_sorted,
-)
-from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, fold_lr, fold_rl
+from .algorithms import OPERATIONS
+from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
 from .vectors import OutOfBoundsError, Vector
 
 NO_DIRECTION = "none"
@@ -131,17 +125,13 @@ def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT) -> list[
     ``left_to_right`` the lowest.  Always ends with a stop event on the empty
     interval the chain shrinks to; an empty input yields just that stop.
     """
-    if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
-        raise ValueError(f"unknown direction {direction!r}")
+    peels, before, stop, _ = _walk(low, high, direction)
     recorder = TraceRecorder()
-    iv = Interval(low, high)
-    while True:
-        step = iv.split_high() if direction == RIGHT_TO_LEFT else iv.split_low()
-        if step is None:
-            recorder.interval_stop(iv, direction)
-            return recorder.events
-        recorder.decompose(iv, step.index, step.rest, direction)
-        iv = step.rest
+    for i in peels:
+        # what remains after a peel is the interval the next index is peeled from
+        recorder.decompose(before(i), i, before(i + peels.step), direction)
+    recorder.interval_stop(Interval(*stop), direction)
+    return recorder.events
 
 
 @dataclass
@@ -155,10 +145,6 @@ class TracedRun:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-_VECTOR_ARITY = {"avg": 1, "insort": 1, "insort_buggy": 1, "dot": 2, "merge": 2}
-_ALGORITHM_NAMES = ("sum",) + tuple(_VECTOR_ARITY)
 
 
 def traced_run(
@@ -178,18 +164,16 @@ def traced_run(
     the outcome together with the events recorded up to the failure; an
     unknown name or missing inputs is a usage error and raises immediately.
     """
-    if algorithm_name not in _ALGORITHM_NAMES:
+    op = OPERATIONS.get(algorithm_name)
+    if op is None:
         raise ValueError(
-            f"unknown algorithm {algorithm_name!r}; expected one of "
-            + ", ".join(_ALGORITHM_NAMES)
+            f"unknown algorithm {algorithm_name!r}; expected one of " + ", ".join(OPERATIONS)
         )
-    if algorithm_name == "sum":
+    if op.arity == 0:
         if low is None or high is None:
-            raise ValueError("sum requires both interval bounds")
-    else:
-        needed = _VECTOR_ARITY[algorithm_name]
-        if len(vectors) != needed:
-            raise ValueError(f"{algorithm_name} takes {needed} vector(s), got {len(vectors)}")
+            raise ValueError(f"{algorithm_name} requires both interval bounds")
+    elif len(vectors) != op.arity:
+        raise ValueError(f"{algorithm_name} takes {op.arity} vector(s), got {len(vectors)}")
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown direction {direction!r}")
 
@@ -203,21 +187,10 @@ def traced_run(
     result = None
     error: Exception | None = None
     try:
-        if algorithm_name == "sum":
-            fold = fold_rl if direction == RIGHT_TO_LEFT else fold_lr
-            result = fold(Interval(low, high), 0, lambda i, acc: i + acc, observer=recorder)
-        elif algorithm_name == "avg":
-            result = avg_vector(copies[0])
-        elif algorithm_name == "dot":
-            result = dot_product(copies[0], copies[1])
-        elif algorithm_name == "merge":
-            result = merge_sorted(copies[0], copies[1])
-        elif algorithm_name == "insort":
-            insertion_sort_in_place(copies[0])
-            result = copies[0]
+        if op.arity == 0:
+            result = op.run(low, high, direction, observer=recorder)
         else:
-            insertion_sort_buggy(copies[0])
-            result = copies[0]
+            result = op.run(*copies)
     except (OutOfBoundsError, ValueError) as exc:
         error = exc
     finally:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
-from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
 
 A = TypeVar("A")
 
@@ -170,19 +170,7 @@ def vfold_rl(
     this vector's length (``VectorMismatchError`` otherwise); that validation
     is what makes the unchecked element reads here safe.
     """
-    _require_pairing(vec, interval)
-    items = vec._items
-    low, high = interval.low, interval.high
-    obs = vec.observer
-    if obs is not None:
-        for i in range(high, low - 1, -1):
-            obs.element_visit(vec, i, items[i], Interval(low, i), RIGHT_TO_LEFT)
-        stopped_on = Interval(low, high) if low > high else Interval(low, low - 1)
-        obs.interval_stop(stopped_on, RIGHT_TO_LEFT)
-    acc = base
-    for i in range(low, high + 1):
-        acc = combine(items[i], i, acc)
-    return acc
+    return _vfold(vec, interval, base, combine, RIGHT_TO_LEFT)
 
 
 def vfold_lr(
@@ -192,16 +180,20 @@ def vfold_lr(
     combine: Callable[[float, int, A], A],
 ) -> A:
     """Mirror of ``vfold_rl``: lowest index peeled first, combine completes downward."""
+    return _vfold(vec, interval, base, combine, LEFT_TO_RIGHT)
+
+
+def _vfold(vec: Vector, interval: VectorInterval, base: A,
+           combine: Callable[[float, int, A], A], direction: str) -> A:
     _require_pairing(vec, interval)
     items = vec._items
-    low, high = interval.low, interval.high
+    peels, before, stop, combines = _walk(interval.low, interval.high, direction)
     obs = vec.observer
     if obs is not None:
-        for i in range(low, high + 1):
-            obs.element_visit(vec, i, items[i], Interval(i, high), LEFT_TO_RIGHT)
-        stopped_on = Interval(low, high) if low > high else Interval(high + 1, high)
-        obs.interval_stop(stopped_on, LEFT_TO_RIGHT)
+        for i in peels:
+            obs.element_visit(vec, i, items[i], before(i), direction)
+        obs.interval_stop(Interval(*stop), direction)
     acc = base
-    for i in range(high, low - 1, -1):
+    for i in combines:
         acc = combine(items[i], i, acc)
     return acc
