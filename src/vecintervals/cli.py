@@ -41,6 +41,15 @@ class UsageError(Exception):
     """A subcommand was invoked without the flags it needs."""
 
 
+# (exception type, exit code, error record kind); the first matching row wins
+_FAILURES = (
+    (VectorParseError, 2, "parse"),
+    (UsageError, 2, "usage"),
+    (OutOfBoundsError, 4, "out_of_bounds"),
+    (ValueError, 3, "domain"),
+)
+
+
 def parse_vector_literal(text: str) -> list[float]:
     """Parse ``1,4,6`` or ``[1,4,6]`` (or an empty string) into numbers."""
     body = text.strip()
@@ -96,25 +105,23 @@ def format_vector(values: list[float]) -> str:
     return "[" + ",".join(format_number(v) for v in values) + "]"
 
 
-def _print_record(record: dict, stream=None) -> None:
-    print(json.dumps(record), file=stream or sys.stdout)
+def _emit(machine: bool, record: dict | None, plain: str | None, stream=None) -> None:
+    """Write one record: a JSON line in machine mode, else its plain rendering."""
+    print(json.dumps(record) if machine else plain, file=stream or sys.stdout)
 
 
 def _emit_result(machine: bool, value) -> None:
     if isinstance(value, Vector):
         value = value.to_list()
-    if machine:
-        _print_record({"kind": "result", "value": value})
-    elif isinstance(value, list):
-        print(format_vector(value))
-    else:
-        print(format_number(value))
+    plain = format_vector(value) if isinstance(value, list) else format_number(value)
+    _emit(machine, {"kind": "result", "value": value}, plain)
 
 
 def _emit_events(machine: bool, events) -> None:
-    for ev in events:
-        if machine:
-            _print_record({
+    # one loop per mode, so each event builds only the rendering that is written
+    if machine:
+        for ev in events:
+            _emit(True, {
                 "kind": ev.kind,
                 "step": ev.step,
                 "direction": ev.direction,
@@ -122,17 +129,10 @@ def _emit_events(machine: bool, events) -> None:
                 "high": ev.interval_before[1],
                 "index": ev.index,
                 "detail": ev.detail,
-            })
-        else:
-            print(f"{ev.step:4d}  {ev.kind:<9}  {ev.detail}")
-
-
-def _report_error(machine: bool, error_kind: str, message: str, **extra) -> None:
-    if machine:
-        _print_record({"kind": "error", "error": error_kind, "message": message, **extra},
-                      stream=sys.stderr)
+            }, None)
     else:
-        print(f"error: {message}", file=sys.stderr)
+        for ev in events:
+            _emit(False, None, f"{ev.step:4d}  {ev.kind:<9}  {ev.detail}")
 
 
 def _vector_flag(p: argparse.ArgumentParser, name: str, required: bool = True) -> None:
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         if op.arity == 0:
             p.add_argument("--low", type=int, required=True)
             p.add_argument("--high", type=int, required=True)
-            p.add_argument("--direction", choices=("rl", "lr"), default="rl",
+            p.add_argument("--direction", choices=_DIRECTIONS, default="rl",
                            help="fold direction: rl peels the high end first (default), "
                                 "lr the low end")
         for flag in _VECTOR_FLAGS[:op.arity]:
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         _vector_flag(p, flag, required=False)
     p.add_argument("--low", type=int)
     p.add_argument("--high", type=int)
-    p.add_argument("--direction", choices=("rl", "lr"), default="rl")
+    p.add_argument("--direction", choices=_DIRECTIONS, default="rl")
     _machine_flag(p)
 
     p = sub.add_parser("selftest", help="run the bundled example cases")
@@ -221,16 +221,12 @@ def _run_trace(args, machine: bool) -> int:
 def _run_selftest(args, machine: bool) -> int:
     results = run_reference_cases()
     failed = sum(1 for r in results if not r.passed)
-    if machine:
-        for r in results:
-            _print_record({"kind": "case", "name": r.name,
-                           "passed": r.passed, "detail": r.detail})
-        _print_record({"kind": "summary", "passed": len(results) - failed, "failed": failed})
-    else:
-        for r in results:
-            print(f"{'ok  ' if r.passed else 'FAIL'} {r.name}"
-                  + ("" if r.passed else f" ({r.detail})"))
-        print(f"{len(results) - failed} passed, {failed} failed")
+    for r in results:
+        plain = f"ok   {r.name}" if r.passed else f"FAIL {r.name} ({r.detail})"
+        _emit(machine, {"kind": "case", "name": r.name, "passed": r.passed, "detail": r.detail},
+              plain)
+    _emit(machine, {"kind": "summary", "passed": len(results) - failed, "failed": failed},
+          f"{len(results) - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
 
@@ -245,24 +241,16 @@ def _run_operation(args, machine: bool) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    machine = getattr(args, "machine", False)
     try:
-        return args.handler(args, machine)
-    except VectorParseError as exc:
-        _report_error(machine, "parse", str(exc))
-        return 2
-    except UsageError as exc:
-        _report_error(machine, "usage", str(exc))
-        return 2
-    except OutOfBoundsError as exc:
-        _report_error(machine, "out_of_bounds", str(exc),
-                      attempted_index=exc.attempted_index,
-                      vector_length=exc.vector_length,
-                      operation_name=exc.operation_name)
-        return 4
-    except ValueError as exc:
-        _report_error(machine, "domain", str(exc))
-        return 3
+        return args.handler(args, args.machine)
+    except Exception as exc:
+        for error_type, code, kind in _FAILURES:
+            if isinstance(exc, error_type):
+                # vars(exc) is empty except on OutOfBoundsError, whose fields ride along
+                _emit(args.machine, {"kind": "error", "error": kind, "message": str(exc),
+                                     **vars(exc)}, f"error: {exc}", sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .algorithms import OPERATIONS
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
-from .vectors import OutOfBoundsError, Vector
+from .vectors import Vector
 
 NO_DIRECTION = "none"
 
@@ -159,10 +159,12 @@ def traced_run(
 
     ``sum`` folds the integers of ``[low..high]`` in the given direction; the
     other algorithms take one or two vectors, which are copied before
-    instrumentation so the caller's data is never touched.  An error raised
-    by the algorithm itself (out-of-bounds or a domain error) is captured in
-    the outcome together with the events recorded up to the failure; an
-    unknown name or missing inputs is a usage error and raises immediately.
+    instrumentation so the caller's data is never touched.  Any exception
+    the algorithm itself raises (out-of-bounds, a domain error, an overflow)
+    is captured in the outcome together with the events recorded up to the
+    failure; classifying it is the caller's job.  An unknown name, missing
+    bounds, the wrong number of vectors or an unknown direction is checked
+    before the run and raises ``ValueError`` immediately.
     """
     op = OPERATIONS.get(algorithm_name)
     if op is None:
@@ -191,7 +193,7 @@ def traced_run(
             result = op.run(low, high, direction, observer=recorder)
         else:
             result = op.run(*copies)
-    except (OutOfBoundsError, ValueError) as exc:
+    except Exception as exc:
         error = exc
     finally:
         for copy in copies:
