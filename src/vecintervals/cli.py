@@ -10,9 +10,13 @@ with one vector per non-blank line.
 a ``kind`` field: ``result``, ``error``, ``case``, ``summary``, or a trace
 event kind (``decompose``, ``visit``, ``stop``, ``access``, ``mutate``).
 
-Exit codes: 0 success, 1 selftest case failures, 2 usage or input parse
-errors, 3 domain errors (empty average, length mismatch, bad interval
-bounds), 4 out-of-bounds access.
+Input numbers must be finite.  Machine output is strict JSON: it never
+holds ``NaN`` or ``Infinity``.
+
+Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
+case failures, 2 usage or input parse errors, 3 domain errors (empty
+average, length mismatch, bad interval bounds, a non-finite or overflowing
+result), 4 out-of-bounds access.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ _FAILURES = (
     (UsageError, 2, "usage"),
     (OutOfBoundsError, 4, "out_of_bounds"),
     (ValueError, 3, "domain"),
+    (OverflowError, 3, "domain"),
 )
 
 
@@ -64,9 +69,13 @@ def parse_vector_literal(text: str) -> list[float]:
             values.append(int(tok))
         except ValueError:
             try:
-                values.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise VectorParseError(f"bad number {tok!r} at token {pos}") from None
+            # ints are always finite; float() also saturates int tokens past the digit limit
+            if not math.isfinite(value):
+                raise VectorParseError(f"non-finite number {tok!r} at token {pos}")
+            values.append(value)
     return values
 
 
@@ -107,12 +116,15 @@ def format_vector(values: list[float]) -> str:
 
 def _emit(machine: bool, record: dict | None, plain: str | None, stream=None) -> None:
     """Write one record: a JSON line in machine mode, else its plain rendering."""
-    print(json.dumps(record) if machine else plain, file=stream or sys.stdout)
+    print(json.dumps(record, allow_nan=False) if machine else plain, file=stream or sys.stdout)
 
 
 def _emit_result(machine: bool, value) -> None:
     if isinstance(value, Vector):
         value = value.to_list()
+    elif isinstance(value, float) and not math.isfinite(value):
+        # the inputs are finite, so this is a sum or product that overflowed
+        raise ValueError(f"result {value} is not a finite number")
     plain = format_vector(value) if isinstance(value, list) else format_number(value)
     _emit(machine, {"kind": "result", "value": value}, plain)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import re
 import shlex
@@ -29,6 +30,7 @@ from vecintervals.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "cli_transcripts.txt"
 TMP = "<tmp>"
 VECTOR_FILE = "1,4,6\n\n2,4,5,8,9\n[10, 3, 7, 17, 11]\n1,x\n"
+BIG_INT = "1" + "0" * 399  # parses as an int; its average overflows a float
 
 
 def _both(*argv: str) -> list[list[str]]:
@@ -107,6 +109,13 @@ def _cases() -> list[list[str]]:
     for command in ("sum-interval", "avg", "dot", "merge", "insort", "insort-buggy",
                     "trace", "selftest"):
         cases.append([command, "-h"])
+    # non-finite tokens are parse errors (2); non-finite results and overflow are domain errors (3)
+    for vec in ("inf,-inf", "nan", "1e999"):
+        add(_both("avg", "--a", vec))
+    add(_both("dot", "--a", "1e308", "--b", "1e308"))
+    add(_both("avg", "--a=1e308,1e308"))
+    add(_both("avg", "--a", f"{BIG_INT},1"))
+    add(_both("trace", "avg", "--a", f"{BIG_INT},1"))
     return cases
 
 
@@ -163,6 +172,31 @@ def test_golden_file_covers_exactly_the_cases(golden):
 @pytest.mark.parametrize("argv", CASES, ids=command_line)
 def test_transcript_is_unchanged(argv, golden, vector_dir):
     assert record(argv, vector_dir) == golden[command_line(argv)]
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+# argparse rejects these command lines with plain usage text before --machine takes effect
+ARGPARSE_ERRORS_IN_MACHINE_MODE = [["avg", "--a", "-1,2", "--machine"]]
+
+
+def _machine_cases():
+    for argv in CASES:
+        if "--machine" in argv:
+            marks = ()
+            if argv in ARGPARSE_ERRORS_IN_MACHINE_MODE:
+                marks = pytest.mark.xfail(strict=True, reason="argparse errors are not JSON")
+            yield pytest.param(argv, marks=marks, id=command_line(argv))
+
+
+@pytest.mark.parametrize("argv", _machine_cases())
+def test_machine_transcript_is_strict_json(argv, golden):
+    out, err = re.split(r"^--- stdout\n|^--- stderr\n", golden[command_line(argv)],
+                        flags=re.M)[1:]
+    for line in (out + err).splitlines():
+        json.loads(line, parse_constant=_reject_constant)
 
 
 if __name__ == "__main__":

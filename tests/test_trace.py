@@ -133,6 +133,15 @@ def test_traced_buggy_sort_captures_the_failure():
     assert "out of bounds" in last.detail
 
 
+def test_traced_run_captures_any_exception_with_the_events_before_it():
+    # the fold over the ints succeeds; dividing the 400-digit total by 2 overflows a float
+    outcome = traced_run("avg", (Vector([10**399, 1]),))
+    assert isinstance(outcome.error, OverflowError)
+    assert outcome.result is None
+    assert kinds(outcome.events) == ["visit", "visit", "stop"]
+    assert [ev.index for ev in outcome.events[:2]] == [1, 0]
+
+
 def test_traced_run_does_not_touch_caller_vectors():
     vec = Vector([10, 3, 7, 17, 11])
     traced_run("insort", (vec,))
