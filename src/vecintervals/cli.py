@@ -255,14 +255,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, args.machine)
-    except Exception as exc:
-        for error_type, code, kind in _FAILURES:
-            if isinstance(exc, error_type):
-                # vars(exc) is empty except on OutOfBoundsError, whose fields ride along
-                _emit(args.machine, {"kind": "error", "error": kind, "message": str(exc),
-                                     **vars(exc)}, f"error: {exc}", sys.stderr)
-                return code
-        raise
+    except tuple(row[0] for row in _FAILURES) as exc:
+        code, kind = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
+        # vars(exc) is empty except on OutOfBoundsError, whose fields ride along
+        _emit(args.machine, {"kind": "error", "error": kind, "message": str(exc), **vars(exc)},
+              f"error: {exc}", sys.stderr)
+        return code
 
 
 if __name__ == "__main__":
