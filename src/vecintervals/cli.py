@@ -35,6 +35,8 @@ from .vectors import OutOfBoundsError, Vector
 
 _DIRECTIONS = {"rl": RIGHT_TO_LEFT, "lr": LEFT_TO_RIGHT}
 _VECTOR_FLAGS = ("--a", "--b")
+# built once: json.dumps with any non-default option builds a new encoder on every call
+_JSON = json.JSONEncoder(allow_nan=False)
 
 
 class VectorParseError(ValueError):
@@ -116,7 +118,7 @@ def format_vector(values: list[float]) -> str:
 
 def _emit(machine: bool, record: dict | None, plain: str | None, stream=None) -> None:
     """Write one record: a JSON line in machine mode, else its plain rendering."""
-    print(json.dumps(record, allow_nan=False) if machine else plain, file=stream or sys.stdout)
+    print(_JSON.encode(record) if machine else plain, file=stream or sys.stdout)
 
 
 def _emit_result(machine: bool, value) -> None:

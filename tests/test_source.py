@@ -18,16 +18,15 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_cli_writes_json_through_one_strict_call():
-    # allow_nan=False makes json.dumps raise instead of writing NaN or Infinity, which
-    # are not JSON; one call site means every machine record gets that check
+def test_cli_encodes_json_strictly_in_one_place():
+    # allow_nan=False makes the encoder raise instead of writing NaN or Infinity, which
+    # are not JSON; one encoder and one call site mean every machine record gets that check
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    calls = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
-    ]
-    assert len(calls) == 1
-    strict = [kw for kw in calls[0].keywords
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = [getattr(node.func, "attr", getattr(node.func, "id", None)) for node in calls]
+    encoders = [node for node, name in zip(calls, names) if name in ("dumps", "JSONEncoder")]
+    assert len(encoders) == 1
+    strict = [kw for kw in encoders[0].keywords
               if kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)]
     assert [kw.value.value for kw in strict] == [False]
+    assert names.count("dumps") + names.count("encode") == 1
