@@ -116,6 +116,11 @@ def _cases() -> list[list[str]]:
     add(_both("avg", "--a=1e308,1e308"))
     add(_both("avg", "--a", f"{BIG_INT},1"))
     add(_both("trace", "avg", "--a", f"{BIG_INT},1"))
+    # each branch of the merge and insertion-step loops: an input runs out, ties go to --b
+    for a, b in (("", "1,2"), ("1,2", ""), ("", ""), ("2,2", "2")):
+        add(_both("trace", "merge", "--a", a, "--b", b))
+    for vec in ("1,2,3", "", "5"):
+        add(_both("trace", "insort", "--a", vec))
     return cases
 
 
