@@ -74,38 +74,25 @@ def dot_product(v1: Vector, v2: Vector) -> float:
 def merge_sorted(v1: Vector, v2: Vector) -> Vector:
     """Merge two non-decreasing vectors into a new sorted vector.
 
-    Three index intervals advance left to right out of step: one per input
-    and one for the result.  Every step copies exactly one input element into
-    the next result slot, so the loop runs ``len(v1) + len(v2)`` times no
-    matter what the inputs hold; sortedness of the output is only promised
-    for sorted inputs.  On equal heads the element of ``v2`` is taken first.
+    One left-to-right walk over the result's full interval fills each slot
+    with the head of one input, and a cursor per input advances through that
+    input's interval.  The loop header fixes the count at ``len(v1) +
+    len(v2)`` steps, one per element, whatever the inputs hold; sortedness of
+    the output is only promised for sorted inputs.  On equal heads the
+    element of ``v2`` is taken first.
     """
-    n1, n2 = len(v1), len(v2)
-    res = Vector([0] * (n1 + n2), label="result")
+    res = Vector([0] * (len(v1) + len(v2)), label="result")
     res.observer = v1.observer if v1.observer is not None else v2.observer
-    iv1 = v1.full_interval()
-    iv2 = v2.full_interval()
+    iv1, iv2, iv_res = v1.full_interval(), v2.full_interval(), res.full_interval()
     low1, high1 = iv1.low, iv1.high
     low2, high2 = iv2.low, iv2.high
-    low_res = 0
-    while True:
-        empty1 = low1 > high1
-        empty2 = low2 > high2
-        if empty1 and empty2:
-            break
-        if empty1:
-            res.set(low_res, v2.get(low2))
-            low2 += 1
-        elif empty2:
-            res.set(low_res, v1.get(low1))
-            low1 += 1
-        elif v1.get(low1) < v2.get(low2):
-            res.set(low_res, v1.get(low1))
+    for k in range(iv_res.low, iv_res.high + 1):
+        if low2 > high2 or (low1 <= high1 and v1.get(low1) < v2.get(low2)):
+            res.set(k, v1.get(low1))
             low1 += 1
         else:
-            res.set(low_res, v2.get(low2))
+            res.set(k, v2.get(low2))
             low2 += 1
-        low_res += 1
     return res
 
 
@@ -117,12 +104,10 @@ def insert_step(vec: Vector, low: int, high: int) -> None:
     violates that gets OutOfBoundsError from the checked read, nothing worse.
     Stops early as soon as the pair is already ordered.
     """
-    i = low
-    while i <= high:
+    for i in range(low, high + 1):
         if vec.get(i) <= vec.get(i + 1):
             return
         vec.swap(i, i + 1)
-        i += 1
 
 
 def insertion_sort_in_place(vec: Vector) -> None:
