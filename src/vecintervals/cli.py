@@ -10,8 +10,9 @@ with one vector per non-blank line.
 a ``kind`` field: ``result``, ``error``, ``case``, ``summary``, or a trace
 event kind (``decompose``, ``visit``, ``stop``, ``access``, ``mutate``).
 
-Input numbers must be finite.  Machine output is strict JSON: it never
-holds ``NaN`` or ``Infinity``.
+Input numbers must be finite and are written without ``_`` digit
+separators; a vector file must be UTF-8 text.  Machine output is strict
+JSON: it never holds ``NaN`` or ``Infinity``.
 
 Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
 case failures, 2 usage or input parse errors, 3 domain errors (empty
@@ -67,6 +68,9 @@ def parse_vector_literal(text: str) -> list[float]:
     values: list[float] = []
     for pos, token in enumerate(body.split(","), start=1):
         tok = token.strip()
+        # int() and float() both accept digit-group underscores (1_000); vector literals do not
+        if "_" in tok:
+            raise VectorParseError(f"bad number {tok!r} at token {pos}")
         try:
             values.append(int(tok))
         except ValueError:
@@ -93,7 +97,7 @@ def load_vector_argument(arg: str) -> list[float]:
         path, lineno = ref, 1
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise VectorParseError(f"cannot read {path}: {exc}") from None
     lines = [line for line in raw.splitlines() if line.strip()]
     if not 1 <= lineno <= len(lines):
@@ -106,7 +110,7 @@ def load_vector_argument(arg: str) -> list[float]:
 def format_number(value: float) -> str:
     """Shortest faithful rendering; floats with integral value print bare."""
     if isinstance(value, float):
-        if math.isfinite(value) and value.is_integer():
+        if value.is_integer():
             return str(int(value))
         return repr(value)
     return str(value)

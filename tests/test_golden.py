@@ -121,6 +121,10 @@ def _cases() -> list[list[str]]:
         add(_both("trace", "merge", "--a", a, "--b", b))
     for vec in ("1,2,3", "", "5"):
         add(_both("trace", "insort", "--a", vec))
+    # a vector file that is not UTF-8 and digit-group underscores are parse errors (2)
+    add(_both("avg", "--a", f"@{TMP}/latin1.txt"))
+    for vec in ("1_000,2", "1_0.5"):
+        add(_both("avg", "--a", vec))
     return cases
 
 
@@ -156,6 +160,7 @@ def load_golden() -> dict[str, str]:
 
 def write_vector_files(directory: Path) -> None:
     (directory / "vecs.txt").write_text(VECTOR_FILE, encoding="utf-8")
+    (directory / "latin1.txt").write_bytes(b"\xff1,2\n")
 
 
 @pytest.fixture(scope="module")
