@@ -79,7 +79,8 @@ def merge_sorted(v1: Vector, v2: Vector) -> Vector:
     input's interval.  The loop header fixes the count at ``len(v1) +
     len(v2)`` steps, one per element, whatever the inputs hold; sortedness of
     the output is only promised for sorted inputs.  On equal heads the
-    element of ``v2`` is taken first.
+    element of ``v2`` is taken first.  With NaN elements the result is a
+    permutation of the inputs and its order is unspecified.
     """
     res = Vector([0] * (len(v1) + len(v2)), label="result")
     res.observer = v1.observer if v1.observer is not None else v2.observer
@@ -117,7 +118,9 @@ def insertion_sort_in_place(vec: Vector) -> None:
     ``low+1..n-1`` for ``low = n-1`` down to 0.  The recursion over the index
     interval is unrolled into a countdown loop so long vectors cannot exhaust
     the call stack.  Each insertion window is capped at ``n - 2``, keeping
-    the right-neighbour reads of ``insert_step`` in bounds.
+    the right-neighbour reads of ``insert_step`` in bounds.  With NaN
+    elements the result is a permutation of the input and its order is
+    unspecified.
     """
     n = len(vec)
     for low in range(n - 1, -1, -1):
