@@ -1,6 +1,7 @@
 """Command-line front end.
 
-One subcommand per operation, plus ``trace`` for instrumented runs and
+One subcommand per operation, plus ``trace`` for instrumented runs, with one
+target per operation that takes exactly that subcommand's flags, and
 ``selftest`` for the bundled example cases.  Vectors are given as comma
 lists (``1,4,6``, brackets optional, empty string for the empty vector) or
 as ``@file`` / ``@file:N`` to read line N (1-based, default 1) of a file
@@ -12,7 +13,8 @@ event kind (``decompose``, ``visit``, ``stop``, ``access``, ``mutate``).
 
 Input numbers must be finite and are written without ``_`` digit
 separators; a vector file must be UTF-8 text.  Machine output is strict
-JSON: it never holds ``NaN`` or ``Infinity``.
+JSON: it never holds ``NaN`` or ``Infinity``, and a command line argparse
+rejects gets a ``usage`` record.
 
 Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
 case failures, 2 usage or input parse errors, 3 domain errors (empty
@@ -23,6 +25,7 @@ result), 4 out-of-bounds access.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,7 +48,17 @@ class VectorParseError(ValueError):
 
 
 class UsageError(Exception):
-    """A subcommand was invoked without the flags it needs."""
+    """argparse rejected the command line; ``args`` is (the parser, argparse's message)."""
+
+    def __str__(self) -> str:
+        return "{0.prog}: {1}".format(*self.args)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its errors (and its subparsers', which share the class) go to ``main``'s failure table."""
+
+    def error(self, message):
+        raise UsageError(self, message)
 
 
 # (exception type, exit code, error record kind); the first matching row wins
@@ -153,46 +166,45 @@ def _emit_events(machine: bool, events) -> None:
             _emit(False, None, f"{ev.step:4d}  {ev.kind:<9}  {ev.detail}")
 
 
-def _vector_flag(p: argparse.ArgumentParser, name: str, required: bool = True) -> None:
-    p.add_argument(name, required=required, metavar="VEC",
-                   help="vector literal like 1,4,6 (or []), or @file[:line]")
-
-
 def _machine_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--machine", action="store_true",
                    help="emit JSON lines instead of plain text")
 
 
+def _add_command(sub, command: str, help_text: str, arity: int, **defaults) -> None:
+    """A subcommand with exactly the flags its handler reads: an interval, or ``arity`` vectors."""
+    p = sub.add_parser(command, help=help_text)
+    p.set_defaults(**defaults)
+    if arity == 0:
+        p.add_argument("--low", type=int, required=True)
+        p.add_argument("--high", type=int, required=True)
+        p.add_argument("--direction", choices=_DIRECTIONS, default="rl",
+                       help="fold direction: rl peels the high end first (default), "
+                            "lr the low end")
+    for flag in _VECTOR_FLAGS[:arity]:
+        p.add_argument(flag, required=True, metavar="VEC",
+                       help="vector literal like 1,4,6 (or []), or @file[:line]")
+    _machine_flag(p)
+
+
+@functools.cache  # built on first use, not at import; parsers can be reused
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vecintervals",
         description="Bounds-safe vector operations driven by validated index intervals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     for op in OPERATIONS.values():
-        p = sub.add_parser(op.command, help=op.help)
-        p.set_defaults(handler=_run_operation, operation=op)
-        if op.arity == 0:
-            p.add_argument("--low", type=int, required=True)
-            p.add_argument("--high", type=int, required=True)
-            p.add_argument("--direction", choices=_DIRECTIONS, default="rl",
-                           help="fold direction: rl peels the high end first (default), "
-                                "lr the low end")
-        for flag in _VECTOR_FLAGS[:op.arity]:
-            _vector_flag(p, flag)
-        _machine_flag(p)
+        _add_command(sub, op.command, op.help, op.arity, handler=_run_operation, operation=op)
 
-    p = sub.add_parser("trace", help="run an operation with step tracing")
-    p.set_defaults(handler=_run_trace)
-    p.add_argument("target",
-                   choices=("interval", *(name.replace("_", "-") for name in OPERATIONS)))
-    for flag in _VECTOR_FLAGS:
-        _vector_flag(p, flag, required=False)
-    p.add_argument("--low", type=int)
-    p.add_argument("--high", type=int)
-    p.add_argument("--direction", choices=_DIRECTIONS, default="rl")
-    _machine_flag(p)
+    # one trace target per operation, sharing the untraced subcommand's flags
+    trace = sub.add_parser("trace", help="run an operation with step tracing")
+    targets = trace.add_subparsers(dest="target", required=True)
+    _add_command(targets, "interval", "show the decomposition chain of [low..high]", 0,
+                 handler=_run_trace_interval)
+    for name, op in OPERATIONS.items():
+        _add_command(targets, name.replace("_", "-"), op.help, op.arity,
+                     handler=_run_trace, operation=op, algorithm=name)
 
     p = sub.add_parser("selftest", help="run the bundled example cases")
     p.set_defaults(handler=_run_selftest)
@@ -201,34 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
+def _load_vectors(args, op) -> tuple[Vector, ...]:
+    """The operation's vector inputs, read in flag order."""
+    return tuple(Vector(load_vector_argument(getattr(args, flag[2:])))
+                 for flag in _VECTOR_FLAGS[:op.arity])
 
 
-def _load_vectors(args, op, what: str) -> tuple[Vector, ...]:
-    """The operation's vector inputs, read in flag order; a missing flag is a usage error."""
-    vectors = []
-    for flag in _VECTOR_FLAGS[:op.arity]:
-        arg = getattr(args, flag[2:])
-        _require(arg is not None, f"{what} requires {flag}")
-        vectors.append(Vector(load_vector_argument(arg)))
-    return tuple(vectors)
+def _run_trace_interval(args, machine: bool) -> int:
+    _emit_events(machine, trace_interval(args.low, args.high, _DIRECTIONS[args.direction]))
+    return 0
 
 
 def _run_trace(args, machine: bool) -> int:
-    direction = _DIRECTIONS[args.direction]
-    what = f"trace {args.target}"
-    name = args.target.replace("-", "_")
-    op = OPERATIONS.get(name)  # None for "interval"
-    if op is None or op.arity == 0:
-        _require(args.low is not None and args.high is not None,
-                 f"{what} requires --low and --high")
-    if op is None:
-        _emit_events(machine, trace_interval(args.low, args.high, direction))
-        return 0
-    outcome = traced_run(name, _load_vectors(args, op, what),
-                         low=args.low, high=args.high, direction=direction)
+    op = args.operation
+    if op.arity == 0:
+        outcome = traced_run(args.algorithm, low=args.low, high=args.high,
+                             direction=_DIRECTIONS[args.direction])
+    else:
+        outcome = traced_run(args.algorithm, _load_vectors(args, op))
     _emit_events(machine, outcome.events)
     if outcome.error is not None:
         raise outcome.error
@@ -253,18 +255,23 @@ def _run_operation(args, machine: bool) -> int:
     if op.arity == 0:
         _emit_result(machine, op.run(args.low, args.high, _DIRECTIONS[args.direction]))
     else:
-        _emit_result(machine, op.run(*_load_vectors(args, op, args.command)))
+        _emit_result(machine, op.run(*_load_vectors(args, op)))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # a rejected command line has no args to read the mode from
+    machine = "--machine" in (sys.argv if argv is None else argv)
     try:
-        return args.handler(args, args.machine)
+        args = build_parser().parse_args(argv)
+        machine = args.machine
+        return args.handler(args, machine)
     except tuple(row[0] for row in _FAILURES) as exc:
+        if isinstance(exc, UsageError) and not machine:
+            argparse.ArgumentParser.error(*exc.args)  # usage line, "prog: error: ...", exit 2
         code, kind = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
         # vars(exc) is empty except on OutOfBoundsError, whose fields ride along
-        _emit(args.machine, {"kind": "error", "error": kind, "message": str(exc), **vars(exc)},
+        _emit(machine, {"kind": "error", "error": kind, "message": str(exc), **vars(exc)},
               f"error: {exc}", sys.stderr)
         return code
 

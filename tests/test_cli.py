@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vecintervals.cli import main, parse_vector_literal
+from vecintervals.cli import build_parser, main, parse_vector_literal
 
 
 def run(capsys, *argv):
@@ -137,6 +137,11 @@ def test_missing_required_flag_exits_2():
     assert info.value.code == 2
 
 
+def test_parser_is_built_once_per_process():
+    # building it costs more than parsing a command line with it
+    assert build_parser() is build_parser()
+
+
 # -- machine mode ------------------------------------------------------------
 
 def test_machine_result_record(capsys):
@@ -219,12 +224,14 @@ def test_trace_buggy_sort_shows_events_then_exits_4(capsys):
 
 
 def test_trace_usage_errors_exit_2(capsys):
-    code, _, err = run(capsys, "trace", "sum", "--high", "3")
-    assert code == 2 and "requires" in err
-    code, _, err = run(capsys, "trace", "avg")
-    assert code == 2 and "--a" in err
-    code, _, err = run(capsys, "trace", "dot", "--a", "1")
-    assert code == 2 and "--b" in err
+    # argparse rejects a trace target without its required flags, naming the missing one
+    for argv, missing in ((["trace", "sum", "--high", "3"], "--low"),
+                          (["trace", "avg"], "--a"),
+                          (["trace", "dot", "--a", "1"], "--b")):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"required: {missing}" in capsys.readouterr().err
 
 
 # -- selftest -------------------------------------------------------------------

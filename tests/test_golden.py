@@ -80,19 +80,19 @@ def _cases() -> list[list[str]]:
                  ["sum-interval", "--low", "1"],
                  ["sum-interval", "--low", "1", "--high", "2", "--direction", "up"],
                  ["trace"], ["trace", "bogus"], ["selftest", "--a", "1"]):
-        cases.append(argv)
-    # every trace target in both directions
+        add(_both(*argv))
+    # every trace target; the interval targets in both directions
     for direction in ("rl", "lr"):
         d = ("--direction", direction)
         for low, high in (("-1", "1"), ("5", "4"), ("0", "0")):
             add(_both("trace", "interval", "--low", low, "--high", high, *d))
         for low, high in (("-1", "1"), ("10", "1")):
             add(_both("trace", "sum", "--low", low, "--high", high, *d))
-        add(_both("trace", "avg", "--a", "1,2,3", *d))
-        add(_both("trace", "dot", "--a", "1,2,3", "--b", "1,2,3", *d))
-        add(_both("trace", "merge", "--a", "1,4,6", "--b", "2,4,5,8,9", *d))
-        add(_both("trace", "insort", "--a", "10,3,7,17,11", *d))
-        add(_both("trace", "insort-buggy", "--a", "10,3,7,17,11", *d))
+    add(_both("trace", "avg", "--a", "1,2,3"))
+    add(_both("trace", "dot", "--a", "1,2,3", "--b", "1,2,3"))
+    add(_both("trace", "merge", "--a", "1,4,6", "--b", "2,4,5,8,9"))
+    add(_both("trace", "insort", "--a", "10,3,7,17,11"))
+    add(_both("trace", "insort-buggy", "--a", "10,3,7,17,11"))
     add(_both("trace", "merge", "--a", "10", "--b", "2"))
     add(_both("trace", "insort", "--a", f"{vecs}:3"))
     add(_both("trace", "insort-buggy", "--a", "10"))
@@ -125,6 +125,10 @@ def _cases() -> list[list[str]]:
     add(_both("avg", "--a", f"@{TMP}/latin1.txt"))
     for vec in ("1_000,2", "1_0.5"):
         add(_both("avg", "--a", vec))
+    # a trace target takes exactly its operation's flags (usage error, 2)
+    add(_both("trace", "avg", "--a", "1,2", "--direction", "lr"))
+    add(_both("trace", "sum", "--low", "1", "--high", "2", "--a", "1"))
+    add(_both("trace", "interval", "--low", "1", "--high", "2", "--b", "1"))
     return cases
 
 
@@ -188,20 +192,8 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
-# argparse rejects these command lines with plain usage text before --machine takes effect
-ARGPARSE_ERRORS_IN_MACHINE_MODE = [["avg", "--a", "-1,2", "--machine"]]
-
-
-def _machine_cases():
-    for argv in CASES:
-        if "--machine" in argv:
-            marks = ()
-            if argv in ARGPARSE_ERRORS_IN_MACHINE_MODE:
-                marks = pytest.mark.xfail(strict=True, reason="argparse errors are not JSON")
-            yield pytest.param(argv, marks=marks, id=command_line(argv))
-
-
-@pytest.mark.parametrize("argv", _machine_cases())
+@pytest.mark.parametrize("argv", [argv for argv in CASES if "--machine" in argv],
+                         ids=command_line)
 def test_machine_transcript_is_strict_json(argv, golden):
     out, err = re.split(r"^--- stdout\n|^--- stderr\n", golden[command_line(argv)],
                         flags=re.M)[1:]
