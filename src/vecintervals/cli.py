@@ -11,10 +11,10 @@ with one vector per non-blank line.
 a ``kind`` field: ``result``, ``error``, ``case``, ``summary``, or a trace
 event kind (``decompose``, ``visit``, ``stop``, ``access``, ``mutate``).
 
-Input numbers must be finite and are written without ``_`` digit
-separators; a vector file must be UTF-8 text.  Machine output is strict
-JSON: it never holds ``NaN`` or ``Infinity``, and a command line argparse
-rejects gets a ``usage`` record.
+Input numbers must be finite and are written in ASCII, without ``_`` digit
+separators; a vector file must be UTF-8 text (a leading byte-order mark is
+skipped).  Machine output is strict JSON: it never holds ``NaN`` or
+``Infinity``, and a command line argparse rejects gets a ``usage`` record.
 
 Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
 case failures, 2 usage or input parse errors, 3 domain errors (empty
@@ -81,8 +81,9 @@ def parse_vector_literal(text: str) -> list[float]:
     values: list[float] = []
     for pos, token in enumerate(body.split(","), start=1):
         tok = token.strip()
-        # int() and float() both accept digit-group underscores (1_000); vector literals do not
-        if "_" in tok:
+        # int() and float() also accept digit-group underscores (1_000) and any Unicode
+        # decimal digits (fullwidth １); vector literals do not
+        if "_" in tok or not tok.isascii():
             raise VectorParseError(f"bad number {tok!r} at token {pos}")
         try:
             values.append(int(tok))
@@ -109,7 +110,7 @@ def load_vector_argument(arg: str) -> list[float]:
     else:
         path, lineno = ref, 1
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")  # skips a byte-order mark
     except (OSError, UnicodeDecodeError) as exc:
         raise VectorParseError(f"cannot read {path}: {exc}") from None
     lines = [line for line in raw.splitlines() if line.strip()]

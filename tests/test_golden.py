@@ -129,6 +129,10 @@ def _cases() -> list[list[str]]:
     add(_both("trace", "avg", "--a", "1,2", "--direction", "lr"))
     add(_both("trace", "sum", "--low", "1", "--high", "2", "--a", "1"))
     add(_both("trace", "interval", "--low", "1", "--high", "2", "--b", "1"))
+    # non-ASCII digits (fullwidth, Arabic-Indic) are parse errors (2); a byte-order mark is skipped
+    for vec in ("\uff11,\uff12", "\u0663,2"):
+        add(_both("avg", "--a", vec))
+    add(_both("avg", "--a", f"@{TMP}/bom.txt"))
     return cases
 
 
@@ -165,6 +169,7 @@ def load_golden() -> dict[str, str]:
 def write_vector_files(directory: Path) -> None:
     (directory / "vecs.txt").write_text(VECTOR_FILE, encoding="utf-8")
     (directory / "latin1.txt").write_bytes(b"\xff1,2\n")
+    (directory / "bom.txt").write_bytes(b"\xef\xbb\xbf1,2\n")
 
 
 @pytest.fixture(scope="module")
