@@ -6,6 +6,15 @@ indices drawn from a validated interval, so none of them can go out of
 bounds; ``insertion_sort_buggy`` is the deliberate exception, kept to show
 what the checked accessors report when the window is off by one.
 
+The three hot loops prove their window once and then read the element list
+directly: ``insert_step`` when its reads ``[low..high+1]`` validate as a
+``VectorInterval``, ``insertion_sort_in_place`` for all of its windows at
+once, and ``merge_sorted`` and ``dot_product`` over their inputs' full
+intervals.  They do so only when no observer is attached.  An observed run,
+and a window that fails validation, takes the checked ``get``/``set``/
+``swap`` loop, so traces and access counts see every step and a bad window
+still gets its precise diagnostic.
+
 ``OPERATIONS`` is the one list of the operations the command line,
 ``traced_run`` and the selftest offer: adding an operation is adding a row.
 """
@@ -15,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, fold_lr, fold_rl
-from .vectors import Vector, vfold_lr, vfold_rl
+from .vectors import IntervalConstraintError, Vector, VectorInterval, vfold_lr, vfold_rl
 
 
 class EmptyVectorError(ValueError):
@@ -57,14 +66,22 @@ def avg_vector(vec: Vector) -> float:
 def dot_product(v1: Vector, v2: Vector) -> float:
     """Sum of pairwise products; 0 for empty vectors.
 
-    Folds over v1's full interval and pairs each element with ``v2.get(i)``.
-    The lengths are checked up front (LengthMismatchError), which also puts
-    the checked v2 read in bounds for every index the fold can produce.
+    The lengths are checked up front (LengthMismatchError), which makes v1's
+    full interval a valid interval of v2 as well.  Unobserved, the products
+    are then read straight from both element lists; observed, v1's interval
+    is walked as a vector fold and each element is paired with a checked
+    ``v2.get(i)``.  Both accumulate ``a[i] * b[i] + acc`` from the highest
+    index down, so float results are identical either way.
     """
     if len(v1) != len(v2):
         raise LengthMismatchError(
             f"vector lengths differ: {len(v1)} and {len(v2)}"
         )
+    if v1.observer is None and v2.observer is None:
+        a, b, acc = v1._items, v2._items, 0
+        for i in range(len(a) - 1, -1, -1):
+            acc = a[i] * b[i] + acc
+        return acc
     return vfold_lr(
         v1, v1.full_interval(), 0,
         lambda elem, i, acc: elem * v2.get(i) + acc,
@@ -87,6 +104,16 @@ def merge_sorted(v1: Vector, v2: Vector) -> Vector:
     iv1, iv2, iv_res = v1.full_interval(), v2.full_interval(), res.full_interval()
     low1, high1 = iv1.low, iv1.high
     low2, high2 = iv2.low, iv2.high
+    if res.observer is None:  # neither input is observed
+        a, b, out = v1._items, v2._items, res._items
+        for k in range(iv_res.low, iv_res.high + 1):
+            if low2 > high2 or (low1 <= high1 and a[low1] < b[low2]):
+                out[k] = a[low1]
+                low1 += 1
+            else:
+                out[k] = b[low2]
+                low2 += 1
+        return res
     for k in range(iv_res.low, iv_res.high + 1):
         if low2 > high2 or (low1 <= high1 and v1.get(low1) < v2.get(low2)):
             res.set(k, v1.get(low1))
@@ -101,14 +128,32 @@ def insert_step(vec: Vector, low: int, high: int) -> None:
     """Sink ``vec[low]`` rightward by adjacent swaps until its neighbour is no smaller.
 
     Walks ``low..high`` comparing each element with its right neighbour, so
-    the window must satisfy ``high + 1 <= len(vec) - 1``; a caller that
-    violates that gets OutOfBoundsError from the checked read, nothing worse.
-    Stops early as soon as the pair is already ordered.
+    it reads ``low..high+1``.  When that window validates as a
+    ``VectorInterval`` and no observer is attached, the walk reads the
+    element list directly; otherwise every read and swap is checked, and a
+    caller whose window is off gets OutOfBoundsError, nothing worse.  Stops
+    early as soon as the pair is already ordered.
     """
+    if vec.observer is None:
+        try:
+            VectorInterval(low, high + 1, len(vec))
+        except IntervalConstraintError:
+            pass
+        else:
+            _sink(vec._items, low, high)
+            return
     for i in range(low, high + 1):
         if vec.get(i) <= vec.get(i + 1):
             return
         vec.swap(i, i + 1)
+
+
+def _sink(items: list, low: int, high: int) -> None:
+    """``insert_step`` on the element list, for a window whose reads ``low..high+1`` are valid."""
+    for i in range(low, high + 1):
+        if items[i] <= items[i + 1]:
+            return
+        items[i], items[i + 1] = items[i + 1], items[i]
 
 
 def insertion_sort_in_place(vec: Vector) -> None:
@@ -118,11 +163,19 @@ def insertion_sort_in_place(vec: Vector) -> None:
     ``low+1..n-1`` for ``low = n-1`` down to 0.  The recursion over the index
     interval is unrolled into a countdown loop so long vectors cannot exhaust
     the call stack.  Each insertion window is capped at ``n - 2``, keeping
-    the right-neighbour reads of ``insert_step`` in bounds.  With NaN
-    elements the result is a permutation of the input and its order is
-    unspecified.
+    the right-neighbour reads of ``insert_step`` in bounds: window
+    ``[low..n-2]`` reads ``low..n-1``, inside the full interval, for every
+    ``low``.  That one proof covers every window of an unobserved sort,
+    which therefore reads the element list directly and validates nothing
+    per window.  With NaN elements the result is a permutation of the input
+    and its order is unspecified.
     """
     n = len(vec)
+    if vec.observer is None:
+        items = vec._items
+        for low in range(n - 1, -1, -1):
+            _sink(items, low, n - 2)
+        return
     for low in range(n - 1, -1, -1):
         insert_step(vec, low, n - 2)
 
