@@ -12,8 +12,9 @@ a ``kind`` field: ``result``, ``error``, ``case``, ``summary``, or a trace
 event kind (``decompose``, ``visit``, ``stop``, ``access``, ``mutate``).
 
 Input numbers must be finite and are written in ASCII, without ``_`` digit
-separators; a vector file must be UTF-8 text (a leading byte-order mark is
-skipped).  Machine output is strict JSON: it never holds ``NaN`` or
+separators, with only ASCII space, tab, CR and LF around them; a vector file
+must be UTF-8 text (a leading byte-order mark is skipped) whose lines end at
+``\\n``.  Machine output is strict JSON: it never holds ``NaN`` or
 ``Infinity``, and a command line argparse rejects gets a ``usage`` record.
 
 Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
@@ -39,6 +40,9 @@ from .vectors import OutOfBoundsError, Vector
 
 _DIRECTIONS = {"rl": RIGHT_TO_LEFT, "lr": LEFT_TO_RIGHT}
 _VECTOR_FLAGS = ("--a", "--b")
+# the only characters allowed around a number or a bracket; str.strip() alone would
+# also remove Unicode spaces and the ASCII separators \x1c-\x1f
+_BLANKS = " \t\r\n"
 # built once: json.dumps with any non-default option builds a new encoder on every call
 _JSON = json.JSONEncoder(allow_nan=False)
 
@@ -73,17 +77,18 @@ _FAILURES = (
 
 def parse_vector_literal(text: str) -> list[float]:
     """Parse ``1,4,6`` or ``[1,4,6]`` (or an empty string) into numbers."""
-    body = text.strip()
+    body = text.strip(_BLANKS)
     if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1].strip()
+        body = body[1:-1].strip(_BLANKS)
     if not body:
         return []
     values: list[float] = []
     for pos, token in enumerate(body.split(","), start=1):
-        tok = token.strip()
-        # int() and float() also accept digit-group underscores (1_000) and any Unicode
-        # decimal digits (fullwidth １); vector literals do not
-        if "_" in tok or not tok.isascii():
+        tok = token.strip(_BLANKS)
+        # int() and float() also accept digit-group underscores (1_000), any Unicode
+        # decimal digits (fullwidth １) and surrounding whitespace such as \x1c or \v;
+        # vector literals do not
+        if "_" in tok or not tok.isascii() or not tok.isprintable():
             raise VectorParseError(f"bad number {tok!r} at token {pos}")
         try:
             values.append(int(tok))
@@ -110,10 +115,12 @@ def load_vector_argument(arg: str) -> list[float]:
     else:
         path, lineno = ref, 1
     try:
-        raw = Path(path).read_text(encoding="utf-8-sig")  # skips a byte-order mark
+        raw = Path(path).read_bytes().decode("utf-8-sig")  # skips a byte-order mark
     except (OSError, UnicodeDecodeError) as exc:
         raise VectorParseError(f"cannot read {path}: {exc}") from None
-    lines = [line for line in raw.splitlines() if line.strip()]
+    # lines end at \n alone; str.splitlines() would also split at \v, \f, \x1c-\x1e,
+    # \x85, U+2028 and U+2029
+    lines = [line for line in raw.split("\n") if line.strip(_BLANKS)]
     if not 1 <= lineno <= len(lines):
         raise VectorParseError(
             f"{path} has {len(lines)} vector line(s), requested line {lineno}"

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from vecintervals.cli import build_parser, main, parse_vector_literal
+from vecintervals.cli import (
+    VectorParseError,
+    build_parser,
+    load_vector_argument,
+    main,
+    parse_vector_literal,
+)
 
 
 def run(capsys, *argv):
@@ -22,6 +28,30 @@ def test_parse_vector_literal_forms():
     assert parse_vector_literal("") == []
     assert parse_vector_literal("[]") == []
     assert parse_vector_literal("2.5,-3") == [2.5, -3]
+
+
+def test_only_ascii_blanks_may_surround_numbers_and_brackets():
+    assert parse_vector_literal("\t[ 1 ,\r\n2 ]\n") == [1, 2]
+    others = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in " \t\r\n"]
+    assert "\xa0" in others and "\x1c" in others
+    for c in others:
+        for text in (f"{c}1,2", f"1{c},2", f"[1,2]{c}", f"{c}[1,2]"):
+            with pytest.raises(VectorParseError):
+                parse_vector_literal(text)
+
+
+def test_vector_file_lines_end_at_newline_only(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(b"1,2\r\n3,4\r\n")
+    assert load_vector_argument(f"@{path}:2") == [3, 4]
+    # every other character str.splitlines() breaks at stays inside its line
+    for c in [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]:
+        if c == "\n":
+            continue
+        path.write_text(f"1,2{c}3,4\n5,6\n", encoding="utf-8", newline="")
+        assert load_vector_argument(f"@{path}:2") == [5, 6]
+        with pytest.raises(VectorParseError):
+            load_vector_argument(f"@{path}:1")
 
 
 def test_bad_literal_reports_offending_token(capsys):

@@ -133,6 +133,13 @@ def _cases() -> list[list[str]]:
     for vec in ("\uff11,\uff12", "\u0663,2"):
         add(_both("avg", "--a", vec))
     add(_both("avg", "--a", f"@{TMP}/bom.txt"))
+    # only ASCII space, tab, CR and LF may surround a number or a bracket; any other
+    # whitespace (no-break space, ideographic space, \x1c, \v) is a parse error (2)
+    for vec in (" [ 1 ,\t2 ] ", "1\xa0,2", "\u30001,2\u3000", "\x1c1,2", "1,2\v"):
+        add(_both("avg", "--a", vec))
+    # vector file lines end at \n (a trailing \r is dropped); U+2028 does not end a line
+    for line in ("2", "1"):
+        add(_both("avg", "--a", f"@{TMP}/separators.txt:{line}"))
     return cases
 
 
@@ -170,6 +177,7 @@ def write_vector_files(directory: Path) -> None:
     (directory / "vecs.txt").write_text(VECTOR_FILE, encoding="utf-8")
     (directory / "latin1.txt").write_bytes(b"\xff1,2\n")
     (directory / "bom.txt").write_bytes(b"\xef\xbb\xbf1,2\n")
+    (directory / "separators.txt").write_bytes("1,2\u20283,4\r\n5,6\r\n".encode())
 
 
 @pytest.fixture(scope="module")
