@@ -3,9 +3,10 @@
 The tracer is an observer the vectors and folds already know how to talk to:
 install a ``TraceRecorder`` as a vector's ``observer`` and every checked
 access, mutation and fold visit lands in ``recorder.events`` as a
-``TraceEvent``.  Untraced code pays one ``is not None`` test per operation
-and nothing else, and the traced run executes exactly the same algorithm,
-so tracing can never change a result.
+``TraceEvent``.  Untraced code pays one ``is not None`` test per checked
+access, or per call in the hot loops that skip the checks after proving
+their window, and the traced run takes the same steps through the checked
+accessors, so tracing can never change a result.
 
 Event kinds:
 
