@@ -115,7 +115,9 @@ def load_vector_argument(arg: str) -> list[float]:
     else:
         path, lineno = ref, 1
     try:
-        raw = Path(path).read_bytes().decode("utf-8-sig")  # skips a byte-order mark
+        # "-sig" skips a byte-order mark; decoding the bytes, not read_text(), keeps a
+        # lone \r inside its line
+        raw = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise VectorParseError(f"cannot read {path}: {exc}") from None
     # lines end at \n alone; str.splitlines() would also split at \v, \f, \x1c-\x1e,
