@@ -7,13 +7,12 @@ bounds; ``insertion_sort_buggy`` is the deliberate exception, kept to show
 what the checked accessors report when the window is off by one.
 
 The three hot loops prove their window once and then read the element list
-directly: ``insert_step`` when its reads ``[low..high+1]`` validate as a
-``VectorInterval``, ``insertion_sort_in_place`` for all of its windows at
-once, and ``merge_sorted`` and ``dot_product`` over their inputs' full
-intervals.  They do so only when no observer is attached.  An observed run,
-and a window that fails validation, takes the checked ``get``/``set``/
-``swap`` loop, so traces and access counts see every step and a bad window
-still gets its precise diagnostic.
+directly: ``insertion_sort_in_place`` for all of its windows at once, and
+``merge_sorted`` and ``dot_product`` over their inputs' full intervals.
+They do so only when no observer is attached.  An observed run takes the
+checked ``get``/``set``/``swap`` loop, so traces and access counts see
+every step.  ``insert_step``, which takes its window from the caller, is
+always checked, so a bad window gets its precise diagnostic.
 
 ``OPERATIONS`` is the one list of the operations the command line,
 ``traced_run`` and the selftest offer: adding an operation is adding a row.
@@ -24,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, fold_lr, fold_rl
-from .vectors import IntervalConstraintError, Vector, VectorInterval, vfold_lr, vfold_rl
+from .vectors import Vector, vfold_lr, vfold_rl
 
 
 class EmptyVectorError(ValueError):
@@ -128,20 +127,10 @@ def insert_step(vec: Vector, low: int, high: int) -> None:
     """Sink ``vec[low]`` rightward by adjacent swaps until its neighbour is no smaller.
 
     Walks ``low..high`` comparing each element with its right neighbour, so
-    it reads ``low..high+1``.  When that window validates as a
-    ``VectorInterval`` and no observer is attached, the walk reads the
-    element list directly; otherwise every read and swap is checked, and a
-    caller whose window is off gets OutOfBoundsError, nothing worse.  Stops
-    early as soon as the pair is already ordered.
+    it reads ``low..high+1``.  Every read and swap is checked, so a caller
+    whose window is off gets OutOfBoundsError, nothing worse.  Stops early
+    as soon as the pair is already ordered.
     """
-    if vec.observer is None:
-        try:
-            VectorInterval(low, high + 1, len(vec))
-        except IntervalConstraintError:
-            pass
-        else:
-            _sink(vec._items, low, high)
-            return
     for i in range(low, high + 1):
         if vec.get(i) <= vec.get(i + 1):
             return
