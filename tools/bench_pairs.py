@@ -9,10 +9,14 @@ median stays within the metric's regression bound, and the traced metrics of
 both sides.
 
     python3 tools/bench_pairs.py --parent ../parent --head . --pairs 10 \\
-        --seconds 30 --seed 1000 --out BENCH_6.json
+        --seed 1000 --out BENCH_6.json
 
-Both checkouts need ``perfbench/`` and ``src/``; the metric names, their
-better direction and their bounds come from the head's ``BENCHMARK.json``.
+Both checkouts need ``perfbench/`` and ``src/``; the workloads, the run
+length and the metric names, their better direction and their bounds come
+from the head's ``BENCHMARK.json``.  A metric whose parent spread (IQR over
+median) is wider than its bound is reported ``unresolved`` unless every head
+run beats every parent run; its ``within_bound`` is then ``null``, since the
+runs cannot tell a regression of that size from noise.
 Pair ``i`` uses seed ``seed + i`` on both sides.  The file is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.
 Standard library only.
@@ -35,10 +39,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     p.add_argument("--head", type=Path, required=True, help="checkout of the change")
-    p.add_argument("--workloads", default="sort,linear,cli",
-                   help="comma-separated workload names (default: %(default)s)")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
     p.add_argument("--out", type=Path, required=True)
     return p.parse_args(argv)
@@ -71,12 +72,16 @@ def compare(parent: list[float], head: list[float], better: str, bound: float) -
     ps, hs = spread(parent), spread(head)
     gain = sign * (hs["median"] - ps["median"])
     worse_frac = -gain / ps["median"] if ps["median"] else 0.0
+    noisy = ps["median"] != 0 and ps["iqr"] / abs(ps["median"]) > bound
+    separated = all(sign * (h - p) > 0 for p in parent for h in head)
+    unresolved = noisy and not separated
     return {
         "parent": ps, "head": hs,
         "head_wins": wins, "parent_wins": losses, "ties": len(parent) - wins - losses,
         "head_over_parent": hs["median"] / ps["median"] if ps["median"] else None,
         "gain_shown": wins >= 0.9 * len(parent) and gain > ps["iqr"],
-        "within_bound": worse_frac <= bound,
+        "unresolved": unresolved,
+        "within_bound": None if unresolved else worse_frac <= bound,
     }
 
 
@@ -97,11 +102,12 @@ def summarise(runs: list[dict], workloads: list[str], declared: list[dict]) -> d
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    workloads = args.workloads.split(",")
-    declared = json.loads((args.head / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.head / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    declared, seconds = bench["end_to_end"], bench["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "head": args.head.resolve()}
     out = {
-        "python": platform.python_version(), "seconds": args.seconds, "pairs": [],
+        "python": platform.python_version(), "seconds": seconds, "pairs": [],
         "metrics": declared, "summary": {}, "traced": {},
     }
     for i in range(args.pairs):
@@ -110,7 +116,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             run = {"pair": i, "seed": seed, "workload": workload, "first": order[0]}
             for side in order:
-                run[side] = run_bench(checkouts[side], workload, seed, args.seconds, 0)
+                run[side] = run_bench(checkouts[side], workload, seed, seconds, 0)
                 print(f"pair {i} {workload} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in run[side]["metrics"].items()),
                       file=sys.stderr, flush=True)
@@ -120,7 +126,7 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload in workloads:
         out["traced"][workload] = {side: run_bench(checkouts[side], workload, args.seed,
-                                                   args.seconds, 1)
+                                                   seconds, 1)
                                    for side in SIDES}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
