@@ -20,9 +20,10 @@ always checked, so a bad window gets its precise diagnostic.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, NamedTuple
 
-from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, fold_lr, fold_rl
+from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _fold
 from .vectors import Vector, vfold_lr, vfold_rl
 
 
@@ -45,8 +46,7 @@ def sum_interval_lr(low: int, high: int) -> int:
 
 
 def _sum_interval(low: int, high: int, direction: str, observer=None) -> int:
-    fold = fold_rl if direction == RIGHT_TO_LEFT else fold_lr
-    return fold(Interval(low, high), 0, lambda i, acc: i + acc, observer=observer)
+    return _fold(Interval(low, high), 0, add, observer, direction)
 
 
 def avg_vector(vec: Vector) -> float:
@@ -137,14 +137,6 @@ def insert_step(vec: Vector, low: int, high: int) -> None:
         vec.swap(i, i + 1)
 
 
-def _sink(items: list, low: int, high: int) -> None:
-    """``insert_step`` on the element list, for a window whose reads ``low..high+1`` are valid."""
-    for i in range(low, high + 1):
-        if items[i] <= items[i + 1]:
-            return
-        items[i], items[i + 1] = items[i + 1], items[i]
-
-
 def insertion_sort_in_place(vec: Vector) -> None:
     """Sort the vector non-decreasing in place by adjacent swaps.
 
@@ -163,7 +155,11 @@ def insertion_sort_in_place(vec: Vector) -> None:
     if vec.observer is None:
         items = vec._items
         for low in range(n - 1, -1, -1):
-            _sink(items, low, n - 2)
+            # insert_step(vec, low, n - 2) on the element list
+            for i in range(low, n - 1):
+                if items[i] <= items[i + 1]:
+                    break
+                items[i], items[i + 1] = items[i + 1], items[i]
         return
     for low in range(n - 1, -1, -1):
         insert_step(vec, low, n - 2)

@@ -20,7 +20,7 @@ must be UTF-8 text (a leading byte-order mark is skipped) whose lines end at
 Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
 case failures, 2 usage or input parse errors, 3 domain errors (empty
 average, length mismatch, bad interval bounds, a non-finite or overflowing
-result), 4 out-of-bounds access.
+result), 4 out-of-bounds access, 5 an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ _FAILURES = (
     (OutOfBoundsError, 4, "out_of_bounds"),
     (ValueError, 3, "domain"),
     (OverflowError, 3, "domain"),
+    (Exception, 5, "internal"),
 )
 
 
@@ -223,10 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_vectors(args, op) -> tuple[Vector, ...]:
-    """The operation's vector inputs, read in flag order."""
+def _inputs(args) -> tuple[tuple[Vector, ...], dict]:
+    """The run's ``(vectors, bounds)``: the interval's bounds, or the vectors in flag order."""
+    op = args.operation
+    if op.arity == 0:
+        return (), {"low": args.low, "high": args.high, "direction": _DIRECTIONS[args.direction]}
     return tuple(Vector(load_vector_argument(getattr(args, flag[2:])))
-                 for flag in _VECTOR_FLAGS[:op.arity])
+                 for flag in _VECTOR_FLAGS[:op.arity]), {}
 
 
 def _run_trace_interval(args, machine: bool) -> int:
@@ -235,12 +239,8 @@ def _run_trace_interval(args, machine: bool) -> int:
 
 
 def _run_trace(args, machine: bool) -> int:
-    op = args.operation
-    if op.arity == 0:
-        outcome = traced_run(args.algorithm, low=args.low, high=args.high,
-                             direction=_DIRECTIONS[args.direction])
-    else:
-        outcome = traced_run(args.algorithm, _load_vectors(args, op))
+    vectors, bounds = _inputs(args)
+    outcome = traced_run(args.algorithm, vectors, **bounds)
     _emit_events(machine, outcome.events)
     if outcome.error is not None:
         raise outcome.error
@@ -261,11 +261,8 @@ def _run_selftest(args, machine: bool) -> int:
 
 
 def _run_operation(args, machine: bool) -> int:
-    op = args.operation
-    if op.arity == 0:
-        _emit_result(machine, op.run(args.low, args.high, _DIRECTIONS[args.direction]))
-    else:
-        _emit_result(machine, op.run(*_load_vectors(args, op)))
+    vectors, bounds = _inputs(args)
+    _emit_result(machine, args.operation.run(*vectors, **bounds))
     return 0
 
 
@@ -280,8 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, UsageError) and not machine:
             argparse.ArgumentParser.error(*exc.args)  # usage line, "prog: error: ...", exit 2
         code, kind = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
-        # vars(exc) is empty except on OutOfBoundsError, whose fields ride along
-        _emit(machine, {"kind": "error", "error": kind, "message": str(exc), **vars(exc)},
+        # vars(exc) is empty except on OutOfBoundsError, whose fields ride along; an
+        # internal error's attributes are left out, as they need not be JSON
+        fields = vars(exc) if kind != "internal" else {}
+        _emit(machine, {"kind": "error", "error": kind, "message": str(exc), **fields},
               f"error: {exc}", sys.stderr)
         return code
 

@@ -158,47 +158,40 @@ def traced_run(
 ) -> TracedRun:
     """Run an algorithm with a fresh recorder attached and capture the outcome.
 
-    ``sum`` folds the integers of ``[low..high]`` in the given direction; the
-    other algorithms take one or two vectors, which are copied before
-    instrumentation so the caller's data is never touched.  Any exception
-    the algorithm itself raises (out-of-bounds, a domain error, an overflow)
-    is captured in the outcome together with the events recorded up to the
-    failure; classifying it is the caller's job.  An unknown name, missing
-    bounds, the wrong number of vectors or an unknown direction is checked
-    before the run and raises ``ValueError`` immediately.
+    ``sum`` folds the integers of ``[low..high]`` in the given direction and
+    takes no vector; the other algorithms take one or two vectors, which are
+    copied before instrumentation so the caller's data is never touched.
+    Any exception the algorithm itself raises (out-of-bounds, a domain
+    error, an overflow) is captured in the outcome together with the events
+    recorded up to the failure; classifying it is the caller's job.  An
+    unknown name, missing bounds, the wrong number of vectors (any vector
+    for ``sum``) or an unknown direction is checked before the run and
+    raises ``ValueError`` immediately.
     """
     op = OPERATIONS.get(algorithm_name)
     if op is None:
         raise ValueError(
             f"unknown algorithm {algorithm_name!r}; expected one of " + ", ".join(OPERATIONS)
         )
-    if op.arity == 0:
-        if low is None or high is None:
-            raise ValueError(f"{algorithm_name} requires both interval bounds")
-    elif len(vectors) != op.arity:
+    if len(vectors) != op.arity:
         raise ValueError(f"{algorithm_name} takes {op.arity} vector(s), got {len(vectors)}")
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown direction {direction!r}")
-
     recorder = TraceRecorder()
-    copies = []
-    for label, src in zip(("a", "b"), vectors):
-        copy = Vector(src.to_list(), label=label)
-        copy.observer = recorder
-        copies.append(copy)
+    bounds = {}
+    if op.arity == 0:
+        if low is None or high is None:
+            raise ValueError(f"{algorithm_name} requires both interval bounds")
+        bounds = {"low": low, "high": high, "direction": direction, "observer": recorder}
 
-    result = None
-    error: Exception | None = None
+    copies = [Vector(src.to_list(), label=label) for label, src in zip("ab", vectors)]
+    for copy in copies:
+        copy.observer = recorder
     try:
-        if op.arity == 0:
-            result = op.run(low, high, direction, observer=recorder)
-        else:
-            result = op.run(*copies)
+        result = op.run(*copies, **bounds)
     except Exception as exc:
-        error = exc
-    finally:
-        for copy in copies:
-            copy.observer = None
-        if isinstance(result, Vector):
-            result.observer = None
-    return TracedRun(result, error, recorder.events)
+        return TracedRun(None, exc, recorder.events)
+    # the copies are unreachable once the run is over, unless one is the result
+    if isinstance(result, Vector):
+        result.observer = None
+    return TracedRun(result, None, recorder.events)

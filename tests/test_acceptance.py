@@ -30,8 +30,9 @@ from vecintervals import (
     vfold_rl,
 )
 from vecintervals.algorithms import insertion_sort_buggy
-from vecintervals.oracles import merge_oracle, naive_dot, sort_oracle
 from vecintervals.selftest import run_reference_cases
+
+from oracles import merge_oracle, naive_dot, sort_oracle
 
 
 def criterion(label):

@@ -18,7 +18,8 @@ from vecintervals import (
     sum_interval_rl,
 )
 from vecintervals.algorithms import insertion_sort_buggy
-from vecintervals.oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
+
+from oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
 
 
 # -- interval sums -------------------------------------------------------

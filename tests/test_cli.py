@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vecintervals import cli
 from vecintervals.cli import (
     VectorParseError,
     build_parser,
@@ -170,6 +171,21 @@ def test_missing_required_flag_exits_2():
 def test_parser_is_built_once_per_process():
     # building it costs more than parsing a command line with it
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("machine", [False, True])
+def test_unexpected_exception_exits_5_with_an_internal_record(capsys, monkeypatch, machine):
+    def fail(arg):
+        raise RuntimeError("boom")
+
+    # looked up at call time; patching OPERATIONS would miss the rows the cached parser holds
+    monkeypatch.setattr(cli, "load_vector_argument", fail)
+    code, out, err = run(capsys, "avg", "--a", "1", *(["--machine"] if machine else []))
+    assert (code, out) == (5, "")
+    if machine:
+        assert json.loads(err) == {"kind": "error", "error": "internal", "message": "boom"}
+    else:
+        assert err == "error: boom\n"
 
 
 # -- machine mode ------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from vecintervals.oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
+from oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
 
 
 def test_naive_sum():

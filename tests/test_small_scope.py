@@ -128,6 +128,10 @@ def test_interval_sum_agrees_with_observed_walk():
         for direction in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
             assert run(low, high, direction) == run(low, high, direction,
                                                     observer=NoOpObserver())
+    # the walk alone decides the direction, observed or not
+    for observer in (None, NoOpObserver()):
+        with pytest.raises(ValueError):
+            run(1, 3, "sideways", observer=observer)
 
 
 def test_insert_step_agrees_on_every_window():

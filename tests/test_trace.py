@@ -157,6 +157,8 @@ def test_traced_run_usage_errors_raise_immediately():
     with pytest.raises(ValueError):
         traced_run("sum", low=3)
     with pytest.raises(ValueError):
+        traced_run("sum", (Vector([1]),), low=1, high=2)
+    with pytest.raises(ValueError):
         traced_run("avg", (Vector([1]),), direction="sideways")
 
 
