@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -55,4 +56,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())
