@@ -6,13 +6,14 @@ indices drawn from a validated interval, so none of them can go out of
 bounds; ``insertion_sort_buggy`` is the deliberate exception, kept to show
 what the checked accessors report when the window is off by one.
 
-The three hot loops prove their window once and then read the element list
+The four hot loops prove their window once and then read the element list
 directly: ``insertion_sort_in_place`` for all of its windows at once, and
-``merge_sorted`` and ``dot_product`` over their inputs' full intervals.
-They do so only when no observer is attached.  An observed run takes the
-checked ``get``/``set``/``swap`` loop, so traces and access counts see
-every step.  ``insert_step``, which takes its window from the caller, is
-always checked, so a bad window gets its precise diagnostic.
+``merge_sorted``, ``dot_product`` and ``avg_vector`` over their inputs' full
+intervals.  They do so only when no observer is attached.  An observed run
+takes the checked ``get``/``set``/``swap`` loop (the fold, for the
+average), so traces and access counts see every step.  ``insert_step``,
+which takes its window from the caller, is always checked, so a bad window
+gets its precise diagnostic.
 
 ``OPERATIONS`` is the one list of the operations the command line,
 ``traced_run`` and the selftest offer: adding an operation is adding a row.
@@ -53,12 +54,20 @@ def avg_vector(vec: Vector) -> float:
     """Arithmetic mean of the elements.
 
     The total is a vector fold over the full index interval, so every read
-    is bounds-safe by construction.  Raises EmptyVectorError on length 0.
+    is bounds-safe by construction.  Unobserved, the elements are summed
+    straight from the element list in the fold's completion order, so the
+    total is the same to the bit.  Raises EmptyVectorError on length 0.
     """
     n = len(vec)
     if n == 0:
         raise EmptyVectorError("cannot average an empty vector")
-    total = vfold_rl(vec, vec.full_interval(), 0, lambda elem, i, acc: elem + acc)
+    if vec.observer is None:
+        # the fold's completion order: index 0 first, each element added on the left
+        total = 0
+        for x in vec._items:
+            total = x + total
+    else:
+        total = vfold_rl(vec, vec.full_interval(), 0, lambda elem, i, acc: elem + acc)
     return total / n
 
 

@@ -91,17 +91,22 @@ def parse_vector_literal(text: str) -> list[float]:
         # vector literals do not
         if "_" in tok or not tok.isascii() or not tok.isprintable():
             raise VectorParseError(f"bad number {tok!r} at token {pos}")
-        try:
-            values.append(int(tok))
-        except ValueError:
+        # only an optionally signed run of digits can be an int, so no other token pays
+        # for a failed int(); a digit run int() rejects (past its digit limit) goes on
+        if (tok[1:] if tok[:1] in "+-" else tok).isdigit():
             try:
-                value = float(tok)
+                values.append(int(tok))
+                continue
             except ValueError:
-                raise VectorParseError(f"bad number {tok!r} at token {pos}") from None
-            # ints are always finite; float() also saturates int tokens past the digit limit
-            if not math.isfinite(value):
-                raise VectorParseError(f"non-finite number {tok!r} at token {pos}")
-            values.append(value)
+                pass
+        try:
+            value = float(tok)
+        except ValueError:
+            raise VectorParseError(f"bad number {tok!r} at token {pos}") from None
+        # ints are always finite; float() also saturates int tokens past the digit limit
+        if not math.isfinite(value):
+            raise VectorParseError(f"non-finite number {tok!r} at token {pos}")
+        values.append(value)
     return values
 
 
@@ -146,7 +151,7 @@ def format_vector(values: list[float]) -> str:
 
 def _emit(machine: bool, record: dict | None, plain: str | None, stream=None) -> None:
     """Write one record: a JSON line in machine mode, else its plain rendering."""
-    print(_JSON.encode(record) if machine else plain, file=stream or sys.stdout)
+    (stream or sys.stdout).write((_JSON.encode(record) if machine else plain) + "\n")
 
 
 def _emit_result(machine: bool, value) -> None:
@@ -159,22 +164,15 @@ def _emit_result(machine: bool, value) -> None:
     _emit(machine, {"kind": "result", "value": value}, plain)
 
 
-def _emit_events(machine: bool, events) -> None:
-    # one loop per mode, so each event builds only the rendering that is written
+def _event_sink(machine: bool):
+    """A trace sink that writes each event as it happens, in the mode's rendering."""
     if machine:
-        for ev in events:
-            _emit(True, {
-                "kind": ev.kind,
-                "step": ev.step,
-                "direction": ev.direction,
-                "low": ev.interval_before[0],
-                "high": ev.interval_before[1],
-                "index": ev.index,
-                "detail": ev.detail,
-            }, None)
-    else:
-        for ev in events:
-            _emit(False, None, f"{ev.step:4d}  {ev.kind:<9}  {ev.detail}")
+        return lambda step, kind, direction, before, index, detail: _emit(True, {
+            "kind": kind, "step": step, "direction": direction, "low": before[0],
+            "high": before[1], "index": index, "detail": detail}, None)
+    write = sys.stdout.write
+    return lambda step, kind, direction, before, index, detail: write(
+        f"{step:4d}  {kind:<9}  {detail}\n")
 
 
 def _machine_flag(p: argparse.ArgumentParser) -> None:
@@ -234,14 +232,14 @@ def _inputs(args) -> tuple[tuple[Vector, ...], dict]:
 
 
 def _run_trace_interval(args, machine: bool) -> int:
-    _emit_events(machine, trace_interval(args.low, args.high, _DIRECTIONS[args.direction]))
+    trace_interval(args.low, args.high, _DIRECTIONS[args.direction], sink=_event_sink(machine))
     return 0
 
 
 def _run_trace(args, machine: bool) -> int:
     vectors, bounds = _inputs(args)
-    outcome = traced_run(args.algorithm, vectors, **bounds)
-    _emit_events(machine, outcome.events)
+    outcome = traced_run(args.algorithm, vectors, **bounds, sink=_event_sink(machine))
+    # the events up to a failure are already written when main reports it
     if outcome.error is not None:
         raise outcome.error
     _emit_result(machine, outcome.result)

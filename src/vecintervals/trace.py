@@ -8,6 +8,13 @@ access, or per call in the hot loops that skip the checks after proving
 their window, and the traced run takes the same steps through the checked
 accessors, so tracing can never change a result.
 
+A recorder built with ``sink=`` (``traced_run`` and ``trace_interval`` pass
+theirs on) hands each event to it as the positional fields ``(step, kind,
+direction, interval_before, index, detail)`` the moment it happens, and
+keeps no list; ``events`` then stays empty.  The command line writes its
+traces this way, so memory stays flat however long the trace, and a run
+that fails has already written every event before the failure.
+
 Event kinds:
 
 * ``decompose``: one peel of an interval chain (``trace_interval`` only).
@@ -54,19 +61,26 @@ def _vec_name(vec: Vector) -> str:
 
 
 class TraceRecorder:
-    """Collects TraceEvents; step numbers are consecutive per recorder.
+    """Collects TraceEvents, or streams them to ``sink``; steps are consecutive per recorder.
 
     Implements the observer protocol consulted by ``Vector`` and the fold
     combinators, plus the ``decompose`` steps used by ``trace_interval``.
+    ``sink``, when given, is called with each event's fields in place of
+    appending a ``TraceEvent`` to ``events``.
     """
 
-    def __init__(self):
+    def __init__(self, *, sink=None):
         self.events: list[TraceEvent] = []
+        self._sink = sink if sink is not None else self._record
+        self._steps = 0
+
+    def _record(self, *fields) -> None:
+        self.events.append(TraceEvent(*fields))
 
     def _emit(self, kind, direction, interval_before, index, detail) -> None:
-        self.events.append(
-            TraceEvent(len(self.events), kind, direction, interval_before, index, detail)
-        )
+        step = self._steps
+        self._steps = step + 1
+        self._sink(step, kind, direction, interval_before, index, detail)
 
     # -- interval walks ------------------------------------------------
 
@@ -119,15 +133,18 @@ class TraceRecorder:
         self._emit("mutate", NO_DIRECTION, (0, n - 1), i, detail)
 
 
-def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT) -> list[TraceEvent]:
+def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
+                   sink=None) -> list[TraceEvent]:
     """Full decomposition chain of ``[low..high]``: one decompose per peel, then stop.
 
     With ``right_to_left`` the highest index is peeled each step, with
     ``left_to_right`` the lowest.  Always ends with a stop event on the empty
     interval the chain shrinks to; an empty input yields just that stop.
+    With a ``sink`` the events go to it as they happen and the list returned
+    is empty.
     """
     peels, before, stop, _ = _walk(low, high, direction)
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(sink=sink)
     for i in peels:
         # what remains after a peel is the interval the next index is peeled from
         recorder.decompose(before(i), i, before(i + peels.step), direction)
@@ -155,6 +172,7 @@ def traced_run(
     low: int | None = None,
     high: int | None = None,
     direction: str = RIGHT_TO_LEFT,
+    sink=None,
 ) -> TracedRun:
     """Run an algorithm with a fresh recorder attached and capture the outcome.
 
@@ -165,8 +183,10 @@ def traced_run(
     error, an overflow) is captured in the outcome together with the events
     recorded up to the failure; classifying it is the caller's job.  An
     unknown name, missing bounds, the wrong number of vectors (any vector
-    for ``sum``) or an unknown direction is checked before the run and
-    raises ``ValueError`` immediately.
+    for ``sum``), interval bounds for a vector operation or an unknown
+    direction is checked before the run and raises ``ValueError``
+    immediately.  With a ``sink`` the events go to it as they happen (see
+    ``TraceRecorder``) and the outcome's ``events`` is empty.
     """
     op = OPERATIONS.get(algorithm_name)
     if op is None:
@@ -177,12 +197,14 @@ def traced_run(
         raise ValueError(f"{algorithm_name} takes {op.arity} vector(s), got {len(vectors)}")
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown direction {direction!r}")
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(sink=sink)
     bounds = {}
     if op.arity == 0:
         if low is None or high is None:
             raise ValueError(f"{algorithm_name} requires both interval bounds")
         bounds = {"low": low, "high": high, "direction": direction, "observer": recorder}
+    elif low is not None or high is not None:
+        raise ValueError(f"{algorithm_name} takes no interval bounds")
 
     copies = [Vector(src.to_list(), label=label) for label, src in zip("ab", vectors)]
     for copy in copies:

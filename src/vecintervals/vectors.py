@@ -9,9 +9,9 @@ operation name, so a failure says exactly what went wrong and where.
 with a given vector length at construction time.  A non-empty one can only
 name valid indices, which lets the vector folds below read elements without
 a per-access check: the bounds reasoning happens once, up front.  The hot
-loops in ``algorithms`` (dot product, merge and insertion sort) rest on
-the same proof and read the element list directly, but only when no
-observer is attached; an observed run uses the checked accessors, so the
+loops in ``algorithms`` (average, dot product, merge and insertion sort)
+rest on the same proof and read the element list directly, but only when
+no observer is attached; an observed run uses the checked accessors, so the
 observer is told of every access.
 """
 

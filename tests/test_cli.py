@@ -1,10 +1,14 @@
 """End-to-end CLI behaviour: output text, exit codes, machine mode, file input."""
 
+import contextlib
+import io
 import json
+import math
+import tracemalloc
 
 import pytest
 
-from vecintervals import cli
+from vecintervals import Vector, cli, traced_run
 from vecintervals.cli import (
     VectorParseError,
     build_parser,
@@ -29,6 +33,45 @@ def test_parse_vector_literal_forms():
     assert parse_vector_literal("") == []
     assert parse_vector_literal("[]") == []
     assert parse_vector_literal("2.5,-3") == [2.5, -3]
+
+
+def old_token_rule(tok):
+    """The rule the parser had before it looked at a token's shape: int(), else float()."""
+    try:
+        return int(tok)
+    except ValueError:
+        try:
+            value = float(tok)
+        except ValueError:
+            return f"bad number {tok!r} at token 2"
+        return value if math.isfinite(value) else f"non-finite number {tok!r} at token 2"
+
+
+@pytest.mark.parametrize("tok", [
+    "0", "7", "+7", "-7", "007", "-0", "+0", "123456789012345678901234567890",
+    "1.5", "-1.5", "+.5", "5.", "-0.0", ".", "1..2",
+    "1e3", "-1E-3", "+2e+2", "1e", "e1", "1e400", "-1e400", "4e-400",
+    "inf", "-inf", "+Infinity", "nan", "-NaN",
+    "+-1", "-+1", "--1", "++1", "+", "-",
+    "", "1 2", "- 1", "1. 5", "0x10", "1j",
+])
+def test_parse_vector_literal_keeps_the_int_then_float_rule(tok):
+    want = old_token_rule(tok)
+    try:
+        got = parse_vector_literal(f"1,{tok}")[1]
+    except VectorParseError as exc:
+        got = str(exc)
+    # repr tells -0.0 from 0.0; type tells 7 from 7.0
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_digit_token_past_the_int_limit_is_non_finite(capsys, sign):
+    # int() rejects more than 4300 digits and float() saturates them to infinity
+    token = sign + "9" * 5000
+    code, out, err = run(capsys, "avg", "--a", token)
+    assert (code, out) == (2, "")
+    assert err == f"error: non-finite number {token!r} at token 1\n"
 
 
 def test_only_ascii_blanks_may_surround_numbers_and_brackets():
@@ -267,6 +310,76 @@ def test_trace_buggy_sort_shows_events_then_exits_4(capsys):
     assert code == 4
     assert "out of bounds" in out.splitlines()[-1]
     assert "index 5" in err
+
+
+class LineCounter(io.TextIOBase):
+    """A text stream that keeps nothing but the number of lines written to it."""
+
+    lines = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_trace_streams_in_bounded_memory():
+    # a reverse-sorted 200-element sort traces about 60k events, ~17 MB held in a list
+    argv = ["trace", "insort", "--a=" + ",".join(map(str, range(200, 0, -1)))]
+    build_parser()  # cached, so the measurement holds only the run
+    sink = LineCounter()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert sink.lines > 50_000
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("machine", [False, True])
+def test_trace_crash_keeps_the_events_written_before_it(monkeypatch, machine):
+    out, err = io.StringIO(), io.StringIO()
+    swap, calls, written = Vector.swap, [], []
+
+    def failing_swap(vec, i, j):
+        calls.append((i, j))
+        if len(calls) == 3:
+            written.append(out.getvalue())
+            raise RuntimeError("boom")
+        swap(vec, i, j)
+
+    # looked up at call time by insert_step
+    monkeypatch.setattr(Vector, "swap", failing_swap)
+    expected = traced_run("insort", (Vector([5, 4, 3, 2, 1]),))
+    assert isinstance(expected.error, RuntimeError) and expected.events
+    calls.clear()
+    written.clear()
+    argv = ["trace", "insort", "--a", "5,4,3,2,1", *(["--machine"] if machine else [])]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 5
+    assert [ev.step for ev in expected.events] == list(range(len(expected.events)))
+    if machine:
+        assert [json.loads(line) for line in out.getvalue().splitlines()] == [
+            {"kind": ev.kind, "step": ev.step, "direction": ev.direction,
+             "low": ev.interval_before[0], "high": ev.interval_before[1],
+             "index": ev.index, "detail": ev.detail}
+            for ev in expected.events
+        ]
+        assert json.loads(err.getvalue()) == {
+            "kind": "error", "error": "internal", "message": "boom"}
+    else:
+        assert out.getvalue() == "".join(
+            f"{ev.step:4d}  {ev.kind:<9}  {ev.detail}\n" for ev in expected.events)
+        assert err.getvalue() == "error: boom\n"
+    # every event was already written when the failure happened
+    assert written == [out.getvalue()]
 
 
 def test_trace_usage_errors_exit_2(capsys):

@@ -1,9 +1,9 @@
 """Small-scope exhaustive check: unobserved and observed runs agree on every small input.
 
-Unobserved, ``insertion_sort_in_place``, ``merge_sorted`` and ``dot_product``
-read a window they have validated once without a check per access; an
-operation with an observer on its inputs always goes through the checked
-accessors.  Running every operation on every input up to a small size both
+Unobserved, ``insertion_sort_in_place``, ``merge_sorted``, ``dot_product`` and
+``avg_vector`` read a window they have validated once without a check per
+access; an operation with an observer on its inputs always goes through the
+checked accessors.  Running every operation on every input up to a small size both
 ways, and requiring the same result, the same final vector contents and the
 same failure (type, attempted index, vector length, operation name), shows
 that no unchecked read strays on any of those inputs: a stray one either

@@ -159,6 +159,8 @@ def test_traced_run_usage_errors_raise_immediately():
     with pytest.raises(ValueError):
         traced_run("sum", (Vector([1]),), low=1, high=2)
     with pytest.raises(ValueError):
+        traced_run("avg", (Vector([1, 2]),), low=1, high=2)
+    with pytest.raises(ValueError):
         traced_run("avg", (Vector([1]),), direction="sideways")
 
 
