@@ -71,11 +71,11 @@ class TraceRecorder:
 
     def __init__(self, *, sink=None):
         self.events: list[TraceEvent] = []
-        self._sink = sink if sink is not None else self._record
+        # closes over the list, not the recorder: a recorder that referred to itself
+        # would keep its events alive until the cycle collector ran
+        append = self.events.append
+        self._sink = sink if sink is not None else lambda *fields: append(TraceEvent(*fields))
         self._steps = 0
-
-    def _record(self, *fields) -> None:
-        self.events.append(TraceEvent(*fields))
 
     def _emit(self, kind, direction, interval_before, index, detail) -> None:
         step = self._steps

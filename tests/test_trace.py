@@ -1,10 +1,14 @@
 """The step tracer: decomposition chains, instrumented runs, non-interference."""
 
+import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
 from vecintervals import (
+    Interval,
     LEFT_TO_RIGHT,
     OutOfBoundsError,
     RIGHT_TO_LEFT,
@@ -101,6 +105,34 @@ def test_fold_event_count_matches_interval_length():
 def test_step_numbers_are_consecutive_from_zero():
     outcome = traced_run("merge", (Vector([1, 4, 6]), Vector([2, 4, 5, 8, 9])))
     assert [ev.step for ev in outcome.events] == list(range(len(outcome.events)))
+
+
+def test_sink_gets_the_fields_of_every_event_and_the_list_stays_empty():
+    def streamed(trace, *args, **kwargs):
+        got = []
+        returned = trace(*args, **kwargs, sink=lambda *fields: got.append(fields))
+        return got, returned
+
+    vecs = (Vector([1, 4, 6]), Vector([2, 4, 5, 8, 9]))
+    got, outcome = streamed(traced_run, "merge", vecs)
+    assert got == [dataclasses.astuple(ev) for ev in traced_run("merge", vecs).events]
+    assert outcome.ok and outcome.events == []
+    got, chain = streamed(trace_interval, -1, 1, LEFT_TO_RIGHT)
+    assert got == [dataclasses.astuple(ev) for ev in trace_interval(-1, 1, LEFT_TO_RIGHT)]
+    assert chain == []
+
+
+def test_recorder_is_freed_without_the_cycle_collector():
+    # a recorder that referred to itself would hold its events until a collection
+    gc.disable()
+    try:
+        recorder = TraceRecorder()
+        recorder.interval_stop(Interval(1, 0), RIGHT_TO_LEFT)
+        ref = weakref.ref(recorder)
+        del recorder
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_traced_dot_records_checked_reads_of_second_vector():
