@@ -3,12 +3,12 @@
 Unobserved, ``insertion_sort_in_place``, ``merge_sorted``, ``dot_product`` and
 ``avg_vector`` read a window they have validated once without a check per
 access; an operation with an observer on its inputs always goes through the
-checked accessors.  Running every operation on every input up to a small size both
-ways, and requiring the same result, the same final vector contents and the
-same failure (type, attempted index, vector length, operation name), shows
-that no unchecked read strays on any of those inputs: a stray one either
-reads a wrong element, which changes the result, or escapes as a bare
-``IndexError``.  The observed run is the reference, so no second
+checked accessors.  Running every operation on every input up to a small
+size both ways, and requiring the same result, the same final vector
+contents and the same failure (type, attempted index, vector length,
+operation name), shows that no unchecked read strays on any of those
+inputs: a stray one either reads a wrong element, which changes the result,
+or escapes as a bare ``IndexError``.  The observed run is the reference, so no second
 implementation is needed.  ``insert_step`` has no unchecked loop, so both
 of its runs are checked; over every window, that shows a window whose reads
 ``[low..high+1]`` validate never raises.

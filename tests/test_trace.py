@@ -124,6 +124,7 @@ def test_sink_gets_the_fields_of_every_event_and_the_list_stays_empty():
 
 def test_recorder_is_freed_without_the_cycle_collector():
     # a recorder that referred to itself would hold its events until a collection
+    enabled = gc.isenabled()
     gc.disable()
     try:
         recorder = TraceRecorder()
@@ -132,7 +133,8 @@ def test_recorder_is_freed_without_the_cycle_collector():
         del recorder
         assert ref() is None
     finally:
-        gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def test_traced_dot_records_checked_reads_of_second_vector():
