@@ -21,6 +21,7 @@ Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
 case failures, 2 usage or input parse errors, 3 domain errors (empty
 average, length mismatch, bad interval bounds, a non-finite or overflowing
 result), 4 out-of-bounds access, 5 an internal error (any other exception).
+A stdout closed by its reader (``| head``) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -271,6 +273,14 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         machine = args.machine
         return args.handler(args, machine)
+    except BrokenPipeError:
+        # the reader stopped (`... | head`), which is not an error; what is still
+        # buffered goes to devnull, so the flush at exit does not fail again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            pass  # a stdout with no file descriptor (a StringIO) has nothing to flush at exit
+        return 0
     except tuple(row[0] for row in _FAILURES) as exc:
         if isinstance(exc, UsageError) and not machine:
             argparse.ArgumentParser.error(*exc.args)  # usage line, "prog: error: ...", exit 2

@@ -206,7 +206,8 @@ def traced_run(
     elif low is not None or high is not None:
         raise ValueError(f"{algorithm_name} takes no interval bounds")
 
-    copies = [Vector(src.to_list(), label=label) for label, src in zip("ab", vectors)]
+    # Vector() copies its elements, so the caller's vectors are never touched
+    copies = [Vector(src._items, label=label) for label, src in zip("ab", vectors)]
     for copy in copies:
         copy.observer = recorder
     try:

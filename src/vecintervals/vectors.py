@@ -83,36 +83,31 @@ class Vector:
 
     def get(self, index: int) -> float:
         items = self._items
-        if 0 <= index < len(items):
-            if self.observer is not None:
-                self.observer.element_read(self, index, items[index], True)
-            return items[index]
+        ok = 0 <= index < len(items)
         if self.observer is not None:
-            self.observer.element_read(self, index, None, False)
-        raise OutOfBoundsError(index, len(items), "get")
+            self.observer.element_read(self, index, items[index] if ok else None, ok)
+        if not ok:
+            raise OutOfBoundsError(index, len(items), "get")
+        return items[index]
 
     def set(self, index: int, value: float) -> None:
         items = self._items
-        if 0 <= index < len(items):
-            if self.observer is not None:
-                self.observer.element_written(self, index, value, True)
-            items[index] = value
-            return
+        ok = 0 <= index < len(items)
         if self.observer is not None:
-            self.observer.element_written(self, index, value, False)
-        raise OutOfBoundsError(index, len(items), "set")
+            self.observer.element_written(self, index, value, ok)
+        if not ok:
+            raise OutOfBoundsError(index, len(items), "set")
+        items[index] = value
 
     def swap(self, i: int, j: int) -> None:
         """Exchange elements i and j; on a bad index the vector is untouched."""
         items = self._items
         n = len(items)
-        bad = i if not 0 <= i < n else (j if not 0 <= j < n else None)
-        if bad is not None:
-            if self.observer is not None:
-                self.observer.elements_swapped(self, i, j, False)
-            raise OutOfBoundsError(bad, n, "swap")
+        ok = 0 <= i < n and 0 <= j < n
         if self.observer is not None:
-            self.observer.elements_swapped(self, i, j, True)
+            self.observer.elements_swapped(self, i, j, ok)
+        if not ok:
+            raise OutOfBoundsError(j if 0 <= i < n else i, n, "swap")
         items[i], items[j] = items[j], items[i]
 
 
@@ -120,34 +115,25 @@ class Vector:
 class VectorInterval(Interval):
     """An interval validated against a vector length at construction.
 
-    The constraints are ``low >= 0``, ``low <= vec_len`` and
-    ``-1 <= high <= vec_len - 1``; violating any of them raises
-    ``IntervalConstraintError`` naming the offending bound.  They admit every
-    sub-range of valid indices plus the empty shapes that index walks shrink
-    to (``high == low - 1`` down to ``[vec_len..vec_len-1]`` and ``[0..-1]``),
-    and nothing else.  Inherits all interval operations; peeling a validated
-    interval yields bounds that still satisfy the constraints.
+    Both bounds must be integers (objects with ``__index__``, as ``range``
+    requires) with ``0 <= low <= vec_len`` and ``-1 <= high <= vec_len - 1``;
+    anything else, a float or NaN included, raises ``IntervalConstraintError``
+    naming the offending bound.  The rule admits every sub-range of valid
+    indices plus the empty shapes that index walks shrink to (``high == low -
+    1`` down to ``[vec_len..vec_len-1]`` and ``[0..-1]``), and nothing else.
+    Inherits all interval operations; peeling a validated interval yields
+    bounds that still satisfy the rule.
     """
 
     vec_len: int
 
     def __post_init__(self):
-        if self.low < 0:
-            raise IntervalConstraintError(
-                f"low bound {self.low} is negative"
-            )
-        if self.low > self.vec_len:
-            raise IntervalConstraintError(
-                f"low bound {self.low} exceeds vector length {self.vec_len}"
-            )
-        if self.high < -1:
-            raise IntervalConstraintError(
-                f"high bound {self.high} is below -1"
-            )
-        if self.high > self.vec_len - 1:
-            raise IntervalConstraintError(
-                f"high bound {self.high} exceeds last valid index {self.vec_len - 1}"
-            )
+        low, high, n = self.low, self.high, self.vec_len
+        # range() needs __index__ too; a float (NaN included), None or a string lacks it
+        if not (hasattr(type(low), "__index__") and 0 <= low <= n):
+            raise IntervalConstraintError(f"low bound {low!r} is not an index in 0..{n}")
+        if not (hasattr(type(high), "__index__") and -1 <= high <= n - 1):
+            raise IntervalConstraintError(f"high bound {high!r} is not an index in -1..{n - 1}")
 
 
 def _require_pairing(vec: Vector, interval: VectorInterval) -> None:

@@ -4,11 +4,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from vecintervals import Vector, cli, traced_run
+from vecintervals import Vector, cli, selftest, traced_run
 from vecintervals.cli import (
     VectorParseError,
     build_parser,
@@ -399,3 +403,44 @@ def test_selftest_plain(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "15 passed, 0 failed" in out
+
+
+def test_a_crashing_case_is_a_failure_and_the_others_still_run(capsys, monkeypatch):
+    def boom(vec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(selftest.OPERATIONS, "avg", selftest.OPERATIONS["avg"]._replace(run=boom))
+    results = selftest.run_reference_cases()
+    crashed = [r for r in results if r.name.startswith("avg ")]
+    assert [(r.passed, r.detail) for r in crashed] == [(False, "raised RuntimeError: boom")] * 2
+    assert [r.passed for r in results if r not in crashed] == [True] * 13
+    assert main(["selftest"]) == 1
+    capsys.readouterr()
+
+
+# -- a closed stdout ---------------------------------------------------------------
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_without_a_descriptor_ends_the_run_quietly():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+        code = main(["trace", "interval", "--low", "0", "--high", "3"])
+    assert (code, err.getvalue()) == (0, "")
+
+
+@pytest.mark.parametrize("machine", [False, True])
+def test_a_reader_closing_stdout_ends_the_run_quietly(machine):
+    # `vecintervals trace interval ... | head -1`: the reader stops long before the end
+    argv = [sys.executable, "-m", "vecintervals", "trace", "interval", "--low", "0",
+            "--high", "200000", *(["--machine"] if machine else [])]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")

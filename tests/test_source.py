@@ -30,3 +30,17 @@ def test_cli_encodes_json_strictly_in_one_place():
               if kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)]
     assert [kw.value.value for kw in strict] == [False]
     assert names.count("dumps") + names.count("encode") == 1
+
+
+def test_each_checked_access_reports_to_its_observer_once():
+    # one report per call, made with the in-bounds flag before the access acts or
+    # raises, so no branch can skip the tracer
+    tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
+    vector = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Vector")
+    methods = {node.name: node for node in vector.body if isinstance(node, ast.FunctionDef)}
+    hooks = {"get": "element_read", "set": "element_written", "swap": "elements_swapped"}
+    for method, hook in hooks.items():
+        calls = [node for node in ast.walk(methods[method])
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == hook]
+        assert len(calls) == 1, method

@@ -176,6 +176,27 @@ def test_traced_run_captures_any_exception_with_the_events_before_it():
     assert [ev.index for ev in outcome.events[:2]] == [1, 0]
 
 
+def test_out_of_bounds_set_is_recorded_before_it_raises():
+    vec, recorder = Vector([1, 2, 3]), TraceRecorder()
+    vec.observer = recorder
+    with pytest.raises(OutOfBoundsError):
+        vec.set(3, 9)
+    assert [(ev.kind, ev.index, ev.detail) for ev in recorder.events] == [
+        ("mutate", 3, "v[3] is out of bounds for length 3")]
+    assert vec.to_list() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("i, j", [(0, 5), (-1, 0)])
+def test_out_of_bounds_swap_is_recorded_before_it_raises_and_moves_nothing(i, j):
+    vec, recorder = Vector([1, 2, 3]), TraceRecorder()
+    vec.observer = recorder
+    with pytest.raises(OutOfBoundsError):
+        vec.swap(i, j)
+    assert [(ev.kind, ev.index, ev.detail) for ev in recorder.events] == [
+        ("mutate", i, f"swap v[{i}], v[{j}] is out of bounds for length 3")]
+    assert vec.to_list() == [1, 2, 3]
+
+
 def test_traced_run_does_not_touch_caller_vectors():
     vec = Vector([10, 3, 7, 17, 11])
     traced_run("insort", (vec,))

@@ -138,6 +138,22 @@ def test_vector_interval_constructor_exhaustive():
                         VectorInterval(low, high, vec_len)
 
 
+@pytest.mark.parametrize("low, high", [(0, float("nan")), (float("nan"), 0), (0.5, 1.5),
+                                       (None, 1), (0, None), ("0", 1)])
+def test_vector_interval_rejects_bounds_that_are_not_integers(low, high):
+    # NaN compares false with everything, so negative range tests alone let it through
+    with pytest.raises(IntervalConstraintError) as info:
+        VectorInterval(low, high, 3)
+    assert ("low" if low != 0 else "high") in str(info.value)
+
+
+def test_vector_interval_accepts_any_integer_type():
+    np = pytest.importorskip("numpy")
+    iv = VectorInterval(np.int64(0), np.int64(2), 3)
+    assert list(range(iv.low, iv.high + 1)) == [0, 1, 2]
+    assert VectorInterval(True, False, 3).is_empty()
+
+
 def test_validated_interval_admits_interval_operations():
     iv = VectorInterval(0, 3, 4)
     assert iv.length() == 4
