@@ -129,7 +129,6 @@ class VectorInterval(Interval):
 
     def __post_init__(self):
         low, high, n = self.low, self.high, self.vec_len
-        # range() needs __index__ too; a float (NaN included), None or a string lacks it
         if not (hasattr(type(low), "__index__") and 0 <= low <= n):
             raise IntervalConstraintError(f"low bound {low!r} is not an index in 0..{n}")
         if not (hasattr(type(high), "__index__") and -1 <= high <= n - 1):

@@ -141,7 +141,7 @@ def test_vector_interval_constructor_exhaustive():
 @pytest.mark.parametrize("low, high", [(0, float("nan")), (float("nan"), 0), (0.5, 1.5),
                                        (None, 1), (0, None), ("0", 1)])
 def test_vector_interval_rejects_bounds_that_are_not_integers(low, high):
-    # NaN compares false with everything, so negative range tests alone let it through
+    # NaN compares false with everything, so it fails no test of the form `low < 0`
     with pytest.raises(IntervalConstraintError) as info:
         VectorInterval(low, high, 3)
     assert ("low" if low != 0 else "high") in str(info.value)
