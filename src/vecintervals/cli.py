@@ -151,9 +151,14 @@ def format_vector(values: list[float]) -> str:
     return "[" + ",".join(format_number(v) for v in values) + "]"
 
 
+def _json(value) -> str:
+    """The JSON text of ``value``: the one place machine output is encoded."""
+    return _JSON.encode(value)
+
+
 def _emit(machine: bool, record: dict | None, plain: str | None, stream=None) -> None:
     """Write one record: a JSON line in machine mode, else its plain rendering."""
-    (stream or sys.stdout).write((_JSON.encode(record) if machine else plain) + "\n")
+    (stream or sys.stdout).write((_json(record) if machine else plain) + "\n")
 
 
 def _emit_result(machine: bool, value) -> None:
@@ -168,11 +173,15 @@ def _emit_result(machine: bool, value) -> None:
 
 def _event_sink(machine: bool):
     """A trace sink that writes each event as it happens, in the mode's rendering."""
-    if machine:
-        return lambda step, kind, direction, before, index, detail: _emit(True, {
-            "kind": kind, "step": step, "direction": direction, "low": before[0],
-            "high": before[1], "index": index, "detail": detail}, None)
     write = sys.stdout.write
+    if machine:
+        # the encoder's layout, written by template: kind and direction are fixed ASCII
+        # names and step, low, high and index are ints (index may be None), so only
+        # the free-text detail needs the encoder
+        return lambda step, kind, direction, before, index, detail: write(
+            f'{{"kind": "{kind}", "step": {step}, "direction": "{direction}", '
+            f'"low": {before[0]}, "high": {before[1]}, '
+            f'"index": {"null" if index is None else index}, "detail": {_json(detail)}}}\n')
     return lambda step, kind, direction, before, index, detail: write(
         f"{step:4d}  {kind:<9}  {detail}\n")
 
@@ -277,9 +286,16 @@ def main(argv: list[str] | None = None) -> int:
         # the reader stopped (`... | head`), which is not an error; what is still
         # buffered goes to devnull, so the flush at exit does not fail again
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            # fileno() first: a stdout with no descriptor (a StringIO) has nothing to
+            # flush at exit, and then no descriptor is opened
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, fd)
+            finally:
+                os.close(devnull)
         except OSError:
-            pass  # a stdout with no file descriptor (a StringIO) has nothing to flush at exit
+            pass
         return 0
     except tuple(row[0] for row in _FAILURES) as exc:
         if isinstance(exc, UsageError) and not machine:

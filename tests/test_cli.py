@@ -5,14 +5,19 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vecintervals import Vector, cli, selftest, traced_run
+from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from vecintervals.trace import NO_DIRECTION
 from vecintervals.cli import (
     VectorParseError,
     build_parser,
@@ -274,6 +279,31 @@ def test_machine_trace_is_json_lines(capsys):
                for r in records)
 
 
+# ints of any sign, up to a few hundred digits; text with quotes, backslashes, control
+# and non-ASCII characters and lone surrogates, which the encoder must escape.  A high
+# surrogate before a low one is split by a space: JSON reads such a pair back as one
+# character, so it would not round-trip through any encoder
+event_ints = st.integers(-1000, 1000) | st.integers(-10**300, 10**300)
+free_text = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+                    | st.sampled_from('"\\\x00\x1f\x7f\u2028')).map(
+    lambda text: re.sub("([\ud800-\udbff])(?=[\udc00-\udfff])", "\\1 ", text))
+
+
+@given(step=st.integers(0, 10**300),
+       kind=st.sampled_from(["decompose", "visit", "stop", "access", "mutate"]),
+       direction=st.sampled_from([RIGHT_TO_LEFT, LEFT_TO_RIGHT, NO_DIRECTION]),
+       low=event_ints, high=event_ints, index=st.none() | event_ints, detail=free_text)
+def test_machine_trace_event_is_the_encoders_record(step, kind, direction, low, high, index,
+                                                    detail):
+    record = {"kind": kind, "step": step, "direction": direction, "low": low, "high": high,
+              "index": index, "detail": detail}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._event_sink(True)(step, kind, direction, (low, high), index, detail)
+    assert out.getvalue() == cli._JSON.encode(record) + "\n"
+    assert json.loads(out.getvalue()) == record
+
+
 def test_machine_selftest_records(capsys):
     code, out, _ = run(capsys, "selftest", "--machine")
     assert code == 0
@@ -430,6 +460,29 @@ def test_a_closed_stdout_without_a_descriptor_ends_the_run_quietly():
     with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
         code = main(["trace", "interval", "--low", "0", "--high", "3"])
     assert (code, err.getvalue()) == (0, "")
+
+
+class ClosedPipeWithDescriptor(ClosedPipe):
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd entries")
+@pytest.mark.parametrize("descriptor", [False, True])
+def test_closed_stdout_runs_leave_no_descriptor_open(tmp_path, descriptor):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout = ClosedPipeWithDescriptor(fd) if descriptor else ClosedPipe()
+        before = len(os.listdir("/proc/self/fd"))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(["avg", "--a", "1,2"]) for _ in range(5)]
+        assert (codes, len(os.listdir("/proc/self/fd"))) == ([0] * 5, before)
+    finally:
+        os.close(fd)
 
 
 @pytest.mark.parametrize("machine", [False, True])

@@ -20,7 +20,9 @@ def test_package_has_no_assert_statements():
 
 def test_cli_encodes_json_strictly_in_one_place():
     # allow_nan=False makes the encoder raise instead of writing NaN or Infinity, which
-    # are not JSON; one encoder and one call site mean every machine record gets that check
+    # are not JSON; one encoder and one call site mean every machine record gets that check.
+    # Trace events write their int fields and fixed names by template and pass their one
+    # free-text field, detail, through that encoder's helper
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     names = [getattr(node.func, "attr", getattr(node.func, "id", None)) for node in calls]
@@ -30,6 +32,14 @@ def test_cli_encodes_json_strictly_in_one_place():
               if kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)]
     assert [kw.value.value for kw in strict] == [False]
     assert names.count("dumps") + names.count("encode") == 1
+    sink = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_event_sink")
+    machine = next(node for node in sink.body
+                   if isinstance(node, ast.If) and getattr(node.test, "id", None) == "machine")
+    helper_calls = [node for node in ast.walk(machine)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_json"]
+    assert [[getattr(arg, "id", None) for arg in call.args] for call in helper_calls] \
+        == [["detail"]]
 
 
 def test_each_checked_access_reports_to_its_observer_once():
