@@ -16,8 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vecintervals import Vector, cli, selftest, traced_run
-from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
-from vecintervals.trace import NO_DIRECTION
 from vecintervals.cli import (
     VectorParseError,
     build_parser,
@@ -25,6 +23,8 @@ from vecintervals.cli import (
     main,
     parse_vector_literal,
 )
+from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from vecintervals.trace import NO_DIRECTION
 
 
 def run(capsys, *argv):
@@ -474,15 +474,12 @@ class ClosedPipeWithDescriptor(ClosedPipe):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd entries")
 @pytest.mark.parametrize("descriptor", [False, True])
 def test_closed_stdout_runs_leave_no_descriptor_open(tmp_path, descriptor):
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-    try:
-        stdout = ClosedPipeWithDescriptor(fd) if descriptor else ClosedPipe()
+    with open(tmp_path / "stdout", "w") as file:
+        stdout = ClosedPipeWithDescriptor(file.fileno()) if descriptor else ClosedPipe()
         before = len(os.listdir("/proc/self/fd"))
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             codes = [main(["avg", "--a", "1,2"]) for _ in range(5)]
         assert (codes, len(os.listdir("/proc/self/fd"))) == ([0] * 5, before)
-    finally:
-        os.close(fd)
 
 
 @pytest.mark.parametrize("machine", [False, True])
