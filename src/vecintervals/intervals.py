@@ -111,18 +111,18 @@ def _walk(low: int, high: int, direction: str):
     """The walk over ``[low..high]`` that peels the end ``direction`` names.
 
     Returns ``(peels, before, stop, combines)``: the indices in peel order, a
-    function giving the interval each index is peeled from, the bounds of the
-    empty interval the walk ends on (the input itself when it is already
-    empty), and the order in which a fold's combine calls complete, the
-    reverse of the peels.  Intervals are only built for an observer, so an
-    unobserved walk costs no allocation beyond its ranges.
+    function giving the interval each index is peeled from, the empty
+    interval the walk ends on (the input's bounds when it is already empty),
+    and the order in which a fold's combine calls complete, the reverse of
+    the peels.  The stop is the one interval every walk builds; the others
+    are only built for an observer.
     """
     if direction == RIGHT_TO_LEFT:
         peels, before, stop = (range(high, low - 1, -1), lambda i: Interval(low, i),
-                               (low, min(high, low - 1)))
+                               Interval(low, min(high, low - 1)))
     elif direction == LEFT_TO_RIGHT:
         peels, before, stop = (range(low, high + 1), lambda i: Interval(i, high),
-                               (max(low, high + 1), high))
+                               Interval(max(low, high + 1), high))
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return peels, before, stop, peels[::-1]
@@ -134,7 +134,7 @@ def _fold(interval: Interval, base: A, combine: Callable[[int, A], A], observer,
     if observer is not None:
         for i in peels:
             observer.interval_visit(i, before(i), direction)
-        observer.interval_stop(Interval(*stop), direction)
+        observer.interval_stop(stop, direction)
     acc = base
     for i in combines:
         acc = combine(i, acc)

@@ -27,6 +27,7 @@ Event kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .algorithms import OPERATIONS
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
@@ -56,8 +57,8 @@ class TraceEvent:
     detail: str
 
 
-def _vec_name(vec: Vector) -> str:
-    return vec.label if vec.label is not None else "v"
+def _out_of_bounds(subject: str, vec: Vector) -> str:
+    return f"{subject} is out of bounds for length {len(vec)}"
 
 
 class TraceRecorder:
@@ -75,12 +76,10 @@ class TraceRecorder:
         # would keep its events alive until the cycle collector ran
         append = self.events.append
         self._sink = sink if sink is not None else lambda *fields: append(TraceEvent(*fields))
-        self._steps = 0
+        self._next_step = count().__next__
 
     def _emit(self, kind, direction, interval_before, index, detail) -> None:
-        step = self._steps
-        self._steps = step + 1
-        self._sink(step, kind, direction, interval_before, index, detail)
+        self._sink(self._next_step(), kind, direction, interval_before, index, detail)
 
     # -- interval walks ------------------------------------------------
 
@@ -97,7 +96,7 @@ class TraceRecorder:
     def element_visit(self, vec, index, elem, before: Interval, direction: str) -> None:
         self._emit(
             "visit", direction, (before.low, before.high), index,
-            f"{_vec_name(vec)}[{index}] -> {elem!r}",
+            f"{vec.label}[{index}] -> {elem!r}",
         )
 
     def interval_stop(self, interval: Interval, direction: str) -> None:
@@ -109,28 +108,22 @@ class TraceRecorder:
     # -- checked vector access ------------------------------------------
 
     def element_read(self, vec, index, value, in_bounds: bool) -> None:
-        name, n = _vec_name(vec), len(vec)
-        if in_bounds:
-            detail = f"{name}[{index}] -> {value!r}"
-        else:
-            detail = f"{name}[{index}] is out of bounds for length {n}"
-        self._emit("access", NO_DIRECTION, (0, n - 1), index, detail)
+        name = vec.label
+        detail = (f"{name}[{index}] -> {value!r}" if in_bounds
+                  else _out_of_bounds(f"{name}[{index}]", vec))
+        self._emit("access", NO_DIRECTION, (0, len(vec) - 1), index, detail)
 
     def element_written(self, vec, index, value, in_bounds: bool) -> None:
-        name, n = _vec_name(vec), len(vec)
-        if in_bounds:
-            detail = f"{name}[{index}] = {value!r}"
-        else:
-            detail = f"{name}[{index}] is out of bounds for length {n}"
-        self._emit("mutate", NO_DIRECTION, (0, n - 1), index, detail)
+        name = vec.label
+        detail = (f"{name}[{index}] = {value!r}" if in_bounds
+                  else _out_of_bounds(f"{name}[{index}]", vec))
+        self._emit("mutate", NO_DIRECTION, (0, len(vec) - 1), index, detail)
 
     def elements_swapped(self, vec, i, j, in_bounds: bool) -> None:
-        name, n = _vec_name(vec), len(vec)
-        if in_bounds:
-            detail = f"{name}[{i}] <-> {name}[{j}]"
-        else:
-            detail = f"swap {name}[{i}], {name}[{j}] is out of bounds for length {n}"
-        self._emit("mutate", NO_DIRECTION, (0, n - 1), i, detail)
+        name = vec.label
+        detail = (f"{name}[{i}] <-> {name}[{j}]" if in_bounds
+                  else _out_of_bounds(f"swap {name}[{i}], {name}[{j}]", vec))
+        self._emit("mutate", NO_DIRECTION, (0, len(vec) - 1), i, detail)
 
 
 def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
@@ -148,7 +141,7 @@ def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
     for i in peels:
         # what remains after a peel is the interval the next index is peeled from
         recorder.decompose(before(i), i, before(i + peels.step), direction)
-    recorder.interval_stop(Interval(*stop), direction)
+    recorder.interval_stop(stop, direction)
     return recorder.events
 
 
@@ -171,22 +164,24 @@ def traced_run(
     *,
     low: int | None = None,
     high: int | None = None,
-    direction: str = RIGHT_TO_LEFT,
+    direction: str | None = None,
     sink=None,
 ) -> TracedRun:
     """Run an algorithm with a fresh recorder attached and capture the outcome.
 
-    ``sum`` folds the integers of ``[low..high]`` in the given direction and
-    takes no vector; the other algorithms take one or two vectors, which are
-    copied before instrumentation so the caller's data is never touched.
+    ``sum`` folds the integers of ``[low..high]`` in the given direction
+    (``right_to_left`` when none is given) and takes no vector; the other
+    algorithms take one or two vectors, which are copied before
+    instrumentation so the caller's data is never touched, and nothing else.
     Any exception the algorithm itself raises (out-of-bounds, a domain
     error, an overflow) is captured in the outcome together with the events
     recorded up to the failure; classifying it is the caller's job.  An
     unknown name, missing bounds, the wrong number of vectors (any vector
-    for ``sum``), interval bounds for a vector operation or an unknown
-    direction is checked before the run and raises ``ValueError``
-    immediately.  With a ``sink`` the events go to it as they happen (see
-    ``TraceRecorder``) and the outcome's ``events`` is empty.
+    for ``sum``), interval bounds or a direction for a vector operation, or
+    an unknown direction is checked before the run and raises
+    ``ValueError`` immediately.  With a ``sink`` the events go to it as
+    they happen (see ``TraceRecorder``) and the outcome's ``events`` is
+    empty.
     """
     op = OPERATIONS.get(algorithm_name)
     if op is None:
@@ -195,16 +190,17 @@ def traced_run(
         )
     if len(vectors) != op.arity:
         raise ValueError(f"{algorithm_name} takes {op.arity} vector(s), got {len(vectors)}")
-    if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
-        raise ValueError(f"unknown direction {direction!r}")
     recorder = TraceRecorder(sink=sink)
     bounds = {}
     if op.arity == 0:
         if low is None or high is None:
             raise ValueError(f"{algorithm_name} requires both interval bounds")
-        bounds = {"low": low, "high": high, "direction": direction, "observer": recorder}
-    elif low is not None or high is not None:
-        raise ValueError(f"{algorithm_name} takes no interval bounds")
+        if direction not in (None, RIGHT_TO_LEFT, LEFT_TO_RIGHT):
+            raise ValueError(f"unknown direction {direction!r}")
+        bounds = {"low": low, "high": high, "direction": direction or RIGHT_TO_LEFT,
+                  "observer": recorder}
+    elif low is not None or high is not None or direction is not None:
+        raise ValueError(f"{algorithm_name} takes no interval bounds or direction")
 
     # Vector() copies its elements, so the caller's vectors are never touched
     copies = [Vector(src._items, label=label) for label, src in zip("ab", vectors)]

@@ -51,12 +51,13 @@ class Vector:
 
     ``observer`` is a hook for the step tracer (see the trace module); it is
     None in normal use and every access method skips it with a single test.
-    ``label`` is a display name for traces and has no semantic effect.
+    ``label`` is the vector's name in traces (``v`` unless given) and has no
+    semantic effect.
     """
 
     __slots__ = ("_items", "label", "observer")
 
-    def __init__(self, elements: Iterable[float], *, label: str | None = None):
+    def __init__(self, elements: Iterable[float], *, label: str = "v"):
         self._items = list(elements)
         self.label = label
         self.observer = None
@@ -181,7 +182,7 @@ def _vfold(vec: Vector, interval: VectorInterval, base: A,
     if obs is not None:
         for i in peels:
             obs.element_visit(vec, i, items[i], before(i), direction)
-        obs.interval_stop(Interval(*stop), direction)
+        obs.interval_stop(stop, direction)
     acc = base
     for i in combines:
         acc = combine(items[i], i, acc)

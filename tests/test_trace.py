@@ -217,6 +217,8 @@ def test_traced_run_usage_errors_raise_immediately():
         traced_run("avg", (Vector([1, 2]),), low=1, high=2)
     with pytest.raises(ValueError):
         traced_run("avg", (Vector([1]),), direction="sideways")
+    with pytest.raises(ValueError):
+        traced_run("avg", (Vector([1, 2]),), direction=LEFT_TO_RIGHT)
 
 
 def untraced_outcome(name, inputs=(), low=None, high=None, direction=RIGHT_TO_LEFT):
@@ -248,19 +250,19 @@ CLASSIC_RUNS = [
     ("sum", (), 10, 1, LEFT_TO_RIGHT),
     ("sum", (), 10, 10, RIGHT_TO_LEFT),
     ("sum", (), -1, 1, LEFT_TO_RIGHT),
-    ("avg", ([6, 7, 8, 9],), None, None, RIGHT_TO_LEFT),
-    ("avg", ([1, 2, 3],), None, None, RIGHT_TO_LEFT),
-    ("avg", ([],), None, None, RIGHT_TO_LEFT),
-    ("dot", ([], []), None, None, RIGHT_TO_LEFT),
-    ("dot", ([1, 2, 3], [1, 2, 3]), None, None, RIGHT_TO_LEFT),
-    ("dot", ([1, 2], [1, 2, 3]), None, None, RIGHT_TO_LEFT),
-    ("merge", ([], []), None, None, RIGHT_TO_LEFT),
-    ("merge", ([10], [2]), None, None, RIGHT_TO_LEFT),
-    ("merge", ([1, 4, 6], [2, 4, 5, 8, 9]), None, None, RIGHT_TO_LEFT),
-    ("insort", ([10],), None, None, RIGHT_TO_LEFT),
-    ("insort", ([10, 3, 7, 17, 11],), None, None, RIGHT_TO_LEFT),
-    ("insort_buggy", ([10, 3, 7, 17, 11],), None, None, RIGHT_TO_LEFT),
-    ("insort_buggy", ([10],), None, None, RIGHT_TO_LEFT),
+    ("avg", ([6, 7, 8, 9],), None, None, None),
+    ("avg", ([1, 2, 3],), None, None, None),
+    ("avg", ([],), None, None, None),
+    ("dot", ([], []), None, None, None),
+    ("dot", ([1, 2, 3], [1, 2, 3]), None, None, None),
+    ("dot", ([1, 2], [1, 2, 3]), None, None, None),
+    ("merge", ([], []), None, None, None),
+    ("merge", ([10], [2]), None, None, None),
+    ("merge", ([1, 4, 6], [2, 4, 5, 8, 9]), None, None, None),
+    ("insort", ([10],), None, None, None),
+    ("insort", ([10, 3, 7, 17, 11],), None, None, None),
+    ("insort_buggy", ([10, 3, 7, 17, 11],), None, None, None),
+    ("insort_buggy", ([10],), None, None, None),
 ]
 
 

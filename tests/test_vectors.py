@@ -30,6 +30,19 @@ def test_vector_basics():
     assert len(Vector([])) == 0
 
 
+def test_repr_shows_the_elements():
+    assert repr(Vector([1, 2.5])) == "Vector([1, 2.5])"
+
+
+def test_a_vector_never_equals_a_plain_list():
+    assert Vector([1]) != [1]
+    assert Vector([1]).__eq__([1]) is NotImplemented
+
+
+def test_label_defaults_to_v():
+    assert Vector([1]).label == "v"
+
+
 def test_to_list_returns_a_copy():
     vec = Vector([1, 2])
     out = vec.to_list()
