@@ -7,6 +7,13 @@ Vector arguments are literals built from ints, floats, the tokens the
 parser rejects and an int too large for a float, or ``@file`` references of
 every kind ``load_vector_argument`` tells apart.  ``-h`` is left out (it prints help and exits 0), and so is NUL,
 which no OS argv can carry.
+
+A second fuzz runs each operation and its ``trace`` target on the same
+generated inputs, in both modes, and checks that tracing changes nothing but
+the events written before the result: the exit code, stderr and the result
+line agree, and accepted results match ``tests/oracles.py`` exactly.
+Vectors are written as ``--a=...``, since argparse takes a value such as
+``-1e+16`` after a bare ``--a`` for an option.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
 from vecintervals.algorithms import OPERATIONS
 from vecintervals.cli import main
 
@@ -103,3 +111,68 @@ def test_any_command_line_exits_with_a_documented_code(argv, vector_dir):
     if "--machine" in argv:
         for line in (out.getvalue() + err.getvalue()).splitlines():
             assert "kind" in json.loads(line, parse_constant=_reject_constant)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr, for a command line argparse accepts."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# ints up to 10**20 and any finite float; half the vectors hold only ints
+elements = st.integers(-10**20, 10**20) | st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.lists(st.integers(-10**20, 10**20), max_size=12) | st.lists(elements, max_size=12)
+
+
+@st.composite
+def operations(draw) -> tuple[str, list[str], dict]:
+    """``(name, flags, inputs)``: an operation, its ``--x=`` flags and the values they hold."""
+    name = draw(st.sampled_from(["sum", "avg", "dot", "merge", "insort", "insort_buggy"]))
+    if name == "sum":
+        low = draw(st.integers(-10**20, 10**20))
+        high = low + draw(st.integers(-3, 40))
+        direction = draw(st.sampled_from(["rl", "lr"]))
+        return name, [f"--low={low}", f"--high={high}", f"--direction={direction}"], \
+            {"low": low, "high": high}
+    a = draw(vectors)
+    if OPERATIONS[name].arity == 1:
+        inputs = {"a": a}
+    elif name == "dot":  # mostly of equal length, so most products are computed
+        inputs = {"a": a, "b": draw(st.lists(elements, min_size=len(a), max_size=len(a))
+                                    | st.lists(st.integers(-10**20, 10**20), min_size=len(a),
+                                               max_size=len(a)) | vectors)}
+    else:  # merge promises a sorted result only for sorted inputs
+        inputs = {"a": sorted(a), "b": sorted(draw(vectors))}
+    return name, [f"--{flag}={','.join(map(repr, xs))}" for flag, xs in inputs.items()], inputs
+
+
+def _oracle(name: str, inputs: dict):
+    """The exact result ``tests/oracles.py`` expects, or None where no oracle is exact."""
+    a, b = inputs.get("a"), inputs.get("b")
+    if name == "sum":
+        return naive_sum(inputs["low"], inputs["high"])
+    if name == "merge":
+        return merge_oracle(a, b)
+    if name in ("insort", "insort_buggy"):
+        return sort_oracle(a)
+    if name == "dot" and all(type(x) is int for x in a + b):
+        return naive_dot(a, b)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operation=operations())
+def test_traced_and_untraced_runs_agree(operation):
+    name, flags, inputs = operation
+    for mode in ([], ["--machine"]):
+        code, out, err = _run([OPERATIONS[name].command, *flags, *mode])
+        traced_code, traced_out, traced_err = _run(["trace", name.replace("_", "-"), *flags,
+                                                    *mode])
+        assert (traced_code, traced_err) == (code, err)
+        # a failed run writes its events and no result; an accepted one ends with its result
+        assert out == (traced_out.splitlines(keepends=True)[-1] if code == 0 else "")
+    if code == 0:
+        expected = _oracle(name, inputs)
+        assert expected is None or json.loads(out) == {"kind": "result", "value": expected}
