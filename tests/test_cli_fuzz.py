@@ -122,8 +122,9 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 # ints up to 10**20 and any finite float; half the vectors hold only ints
-elements = st.integers(-10**20, 10**20) | st.floats(allow_nan=False, allow_infinity=False)
-vectors = st.lists(st.integers(-10**20, 10**20), max_size=12) | st.lists(elements, max_size=12)
+ints = st.integers(-10**20, 10**20)
+elements = ints | st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.lists(ints, max_size=12) | st.lists(elements, max_size=12)
 
 
 @st.composite
@@ -131,7 +132,7 @@ def operations(draw) -> tuple[str, list[str], dict]:
     """``(name, flags, inputs)``: an operation, its ``--x=`` flags and the values they hold."""
     name = draw(st.sampled_from(["sum", "avg", "dot", "merge", "insort", "insort_buggy"]))
     if name == "sum":
-        low = draw(st.integers(-10**20, 10**20))
+        low = draw(ints)
         high = low + draw(st.integers(-3, 40))
         direction = draw(st.sampled_from(["rl", "lr"]))
         return name, [f"--low={low}", f"--high={high}", f"--direction={direction}"], \
@@ -140,9 +141,9 @@ def operations(draw) -> tuple[str, list[str], dict]:
     if OPERATIONS[name].arity == 1:
         inputs = {"a": a}
     elif name == "dot":  # mostly of equal length, so most products are computed
-        inputs = {"a": a, "b": draw(st.lists(elements, min_size=len(a), max_size=len(a))
-                                    | st.lists(st.integers(-10**20, 10**20), min_size=len(a),
-                                               max_size=len(a)) | vectors)}
+        same_length = {"min_size": len(a), "max_size": len(a)}
+        b = draw(st.lists(ints, **same_length) | st.lists(elements, **same_length) | vectors)
+        inputs = {"a": a, "b": b}
     else:  # merge promises a sorted result only for sorted inputs
         inputs = {"a": sorted(a), "b": sorted(draw(vectors))}
     return name, [f"--{flag}={','.join(map(repr, xs))}" for flag, xs in inputs.items()], inputs
