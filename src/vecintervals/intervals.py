@@ -107,35 +107,33 @@ def fold_lr(
     return _fold(interval, base, combine, observer, LEFT_TO_RIGHT)
 
 
-def _walk(low: int, high: int, direction: str):
-    """The walk over ``[low..high]`` that peels the end ``direction`` names.
+def _walk(low: int, high: int, direction: str, observer=None, visit=None):
+    """Walk ``[low..high]``, peeling the end ``direction`` names, and report it.
 
-    Returns ``(peels, before, stop, combines)``: the indices in peel order, a
-    function giving the interval each index is peeled from, the empty
-    interval the walk ends on (the input's bounds when it is already empty),
-    and the order in which a fold's combine calls complete, the reverse of
-    the peels.  The stop is the one interval every walk builds; the others
-    are only built for an observer.
+    With an observer, calls ``visit(i, interval i is peeled from, direction)``
+    for each peel in peel order, then ``observer.interval_stop`` with the
+    empty interval the walk ends on (the input's bounds when it is already
+    empty).  Returns the order in which a fold's combine calls complete, the
+    reverse of the peels.  Only an observed walk builds an ``Interval``.
     """
     if direction == RIGHT_TO_LEFT:
-        peels, before, stop = (range(high, low - 1, -1), lambda i: Interval(low, i),
-                               Interval(low, min(high, low - 1)))
+        peels, end, before = (range(high, low - 1, -1), min(high, low - 1),
+                              lambda i: Interval(low, i))
     elif direction == LEFT_TO_RIGHT:
-        peels, before, stop = (range(low, high + 1), lambda i: Interval(i, high),
-                               Interval(max(low, high + 1), high))
+        peels, end, before = range(low, high + 1), max(low, high + 1), lambda i: Interval(i, high)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return peels, before, stop, peels[::-1]
+    if observer is not None:
+        for i in peels:
+            visit(i, before(i), direction)
+        observer.interval_stop(before(end), direction)
+    return peels[::-1]
 
 
 def _fold(interval: Interval, base: A, combine: Callable[[int, A], A], observer,
           direction: str) -> A:
-    peels, before, stop, combines = _walk(interval.low, interval.high, direction)
-    if observer is not None:
-        for i in peels:
-            observer.interval_visit(i, before(i), direction)
-        observer.interval_stop(stop, direction)
+    visit = None if observer is None else observer.interval_visit
     acc = base
-    for i in combines:
+    for i in _walk(interval.low, interval.high, direction, observer, visit):
         acc = combine(i, acc)
     return acc

@@ -83,12 +83,13 @@ class TraceRecorder:
 
     # -- interval walks ------------------------------------------------
 
-    def decompose(self, before: Interval, index: int, rest: Interval, direction: str) -> None:
+    def decompose(self, index: int, before: Interval, direction: str) -> None:
+        low, high = before.low, before.high
         if direction == RIGHT_TO_LEFT:
-            detail = f"[{before.low}..{before.high}] = [[{rest.low}..{rest.high}]..{index}]"
+            detail = f"[{low}..{high}] = [[{low}..{index - 1}]..{index}]"
         else:
-            detail = f"[{before.low}..{before.high}] = [{index}..[{rest.low}..{rest.high}]]"
-        self._emit("decompose", direction, (before.low, before.high), index, detail)
+            detail = f"[{low}..{high}] = [{index}..[{index + 1}..{high}]]"
+        self._emit("decompose", direction, (low, high), index, detail)
 
     def interval_visit(self, index: int, before: Interval, direction: str) -> None:
         self._emit("visit", direction, (before.low, before.high), index, f"index {index}")
@@ -136,12 +137,8 @@ def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
     With a ``sink`` the events go to it as they happen and the list returned
     is empty.
     """
-    peels, before, stop, _ = _walk(low, high, direction)
     recorder = TraceRecorder(sink=sink)
-    for i in peels:
-        # what remains after a peel is the interval the next index is peeled from
-        recorder.decompose(before(i), i, before(i + peels.step), direction)
-    recorder.interval_stop(stop, direction)
+    _walk(low, high, direction, recorder, recorder.decompose)
     return recorder.events
 
 

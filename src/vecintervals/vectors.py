@@ -177,13 +177,9 @@ def _vfold(vec: Vector, interval: VectorInterval, base: A,
            combine: Callable[[float, int, A], A], direction: str) -> A:
     _require_pairing(vec, interval)
     items = vec._items
-    peels, before, stop, combines = _walk(interval.low, interval.high, direction)
     obs = vec.observer
-    if obs is not None:
-        for i in peels:
-            obs.element_visit(vec, i, items[i], before(i), direction)
-        obs.interval_stop(stop, direction)
     acc = base
-    for i in combines:
+    for i in _walk(interval.low, interval.high, direction, obs,
+                   lambda i, before, d: obs.element_visit(vec, i, items[i], before, d)):
         acc = combine(items[i], i, acc)
     return acc
