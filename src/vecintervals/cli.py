@@ -118,7 +118,7 @@ def load_vector_argument(arg: str) -> list[float]:
         return parse_vector_literal(arg)
     ref = arg[1:]
     path, _, line_part = ref.rpartition(":")
-    if path and line_part.isdigit():
+    if path and line_part.isascii() and line_part.isdigit():
         lineno = int(line_part)
     else:
         path, lineno = ref, 1
