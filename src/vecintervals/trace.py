@@ -65,7 +65,9 @@ class TraceRecorder:
     """Collects TraceEvents, or streams them to ``sink``; steps are consecutive per recorder.
 
     Implements the observer protocol consulted by ``Vector`` and the fold
-    combinators, plus the ``decompose`` steps used by ``trace_interval``.
+    combinators.  ``decompose(index, before, direction)`` takes the arguments
+    of ``interval_visit``: ``trace_interval`` hands it to the interval walk as
+    the per-peel report, and it writes the rest of ``before`` from ``index``.
     ``sink``, when given, is called with each event's fields in place of
     appending a ``TraceEvent`` to ``events``.
     """
@@ -132,10 +134,12 @@ def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
     """Full decomposition chain of ``[low..high]``: one decompose per peel, then stop.
 
     With ``right_to_left`` the highest index is peeled each step, with
-    ``left_to_right`` the lowest.  Always ends with a stop event on the empty
-    interval the chain shrinks to; an empty input yields just that stop.
-    With a ``sink`` the events go to it as they happen and the list returned
-    is empty.
+    ``left_to_right`` the lowest.  The events come from the same walk the
+    folds run, with a recorder as its observer: each peel is reported as a
+    decompose, and the walk's stop event on the empty interval the chain
+    shrinks to ends the chain; an empty input yields just that stop.  With a
+    ``sink`` the events go to it as they happen and the list returned is
+    empty.
     """
     recorder = TraceRecorder(sink=sink)
     _walk(low, high, direction, recorder, recorder.decompose)

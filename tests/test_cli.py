@@ -141,6 +141,24 @@ def test_file_line_out_of_range(capsys, tmp_path):
     assert "requested line 9" in err
 
 
+@pytest.mark.parametrize("machine", [False, True])
+@pytest.mark.parametrize("suffix", ["\u00b2", "\u0661"],
+                         ids=["superscript-two", "arabic-indic-one"])
+def test_file_line_takes_only_ascii_digits(capsys, tmp_path, suffix, machine):
+    # "²" and "١" pass str.isdigit(); a suffix that is not ASCII digits is part of the path
+    vecfile = tmp_path / "vecs.txt"
+    vecfile.write_text("1,2\n3,4\n")
+    code, out, err = run(capsys, "avg", "--a", f"@{vecfile}:{suffix}",
+                         *(["--machine"] if machine else []))
+    assert code == 2 and out == ""
+    if machine:
+        record = json.loads(err)
+        assert (record["kind"], record["error"]) == ("error", "parse")
+        assert record["message"].startswith(f"cannot read {vecfile}:{suffix}: ")
+    else:
+        assert f"cannot read {vecfile}:{suffix}: " in err
+
+
 # -- plain results -----------------------------------------------------------
 
 def test_sum_interval_outputs(capsys):

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecintervals import Interval, Step, fold_lr, fold_rl
+import vecintervals.intervals
+from vecintervals import (
+    Interval,
+    Step,
+    Vector,
+    fold_lr,
+    fold_rl,
+    sum_interval_rl,
+    vfold_lr,
+    vfold_rl,
+)
 
 bounds = st.integers(min_value=-50, max_value=50)
 
@@ -181,3 +191,23 @@ def test_folds_handle_million_element_interval_without_recursion():
     count = fold_lr(Interval(1, n), 0, lambda i, acc: acc + 1)
     assert count == n
     assert sys.getrecursionlimit() == limit
+
+
+def test_unobserved_walks_build_no_interval(monkeypatch):
+    # only an observer is told about the intervals of a walk, so a walk nobody
+    # observes must not pay for building them
+    iv = Interval(0, 9)
+    vec = Vector(range(10))
+    viv = vec.full_interval()
+
+    def no_interval(*args):
+        raise AssertionError(f"Interval{args} built by an unobserved walk")
+
+    monkeypatch.setattr(vecintervals.intervals, "Interval", no_interval)
+    add = lambda i, acc: i + acc
+    vadd = lambda elem, i, acc: elem + acc
+    assert fold_rl(iv, 0, add) == 45
+    assert fold_lr(iv, 0, add) == 45
+    assert vfold_rl(vec, viv, 0, vadd) == 45
+    assert vfold_lr(vec, viv, 0, vadd) == 45
+    assert sum_interval_rl(0, 9) == 45

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import vecintervals
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vecintervals"
 
 
@@ -54,3 +56,39 @@ def test_each_checked_access_reports_to_its_observer_once():
         calls = [node for node in ast.walk(methods[method])
                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == hook]
         assert len(calls) == 1, method
+
+
+def test_public_names_are_pinned():
+    # __all__ is the public contract: a name may not appear, vanish or stop resolving
+    # without this list changing with it
+    assert vecintervals.__all__ == [
+        "EmptyVectorError",
+        "Interval",
+        "IntervalConstraintError",
+        "LEFT_TO_RIGHT",
+        "LengthMismatchError",
+        "OutOfBoundsError",
+        "RIGHT_TO_LEFT",
+        "Step",
+        "TraceEvent",
+        "TraceRecorder",
+        "TracedRun",
+        "Vector",
+        "VectorInterval",
+        "VectorMismatchError",
+        "avg_vector",
+        "dot_product",
+        "fold_lr",
+        "fold_rl",
+        "insert_step",
+        "insertion_sort_in_place",
+        "merge_sorted",
+        "sum_interval_lr",
+        "sum_interval_rl",
+        "trace_interval",
+        "traced_run",
+        "vfold_lr",
+        "vfold_rl",
+    ]
+    for name in vecintervals.__all__:
+        assert getattr(vecintervals, name) is not None, name

@@ -6,6 +6,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vecintervals import (
     Interval,
@@ -16,12 +18,15 @@ from vecintervals import (
     Vector,
     avg_vector,
     dot_product,
+    fold_lr,
+    fold_rl,
     merge_sorted,
     insertion_sort_in_place,
     sum_interval_lr,
     sum_interval_rl,
     trace_interval,
     traced_run,
+    vfold_lr,
     vfold_rl,
 )
 from vecintervals.algorithms import insertion_sort_buggy
@@ -58,6 +63,31 @@ def test_trace_interval_left_to_right_chain():
 def test_trace_interval_rejects_unknown_direction():
     with pytest.raises(ValueError):
         trace_interval(0, 3, "sideways")
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([RIGHT_TO_LEFT, LEFT_TO_RIGHT]))
+def test_decomposition_chain_follows_the_peel(low, high, direction):
+    # the chain is the paper's recursion unrolled: each decompose is one split_high
+    # (right to left) or split_low (left to right) of what the previous one left
+    *chain, stop = trace_interval(low, high, direction)
+    rest = Interval(low, high)
+    for ev in chain:
+        assert ev.kind == "decompose" and ev.interval_before == (rest.low, rest.high)
+        before = Interval(*ev.interval_before)
+        peel = before.split_high() if direction == RIGHT_TO_LEFT else before.split_low()
+        whole = f"[{before.low}..{before.high}]"
+        part = f"[{peel.rest.low}..{peel.rest.high}]"
+        detail = (f"{whole} = [{part}..{peel.index}]" if direction == RIGHT_TO_LEFT
+                  else f"{whole} = [{peel.index}..{part}]")
+        assert (ev.index, ev.detail) == (peel.index, detail)
+        rest = peel.rest
+    assert rest.is_empty() and len(chain) == Interval(low, high).length()
+    assert (stop.kind, stop.interval_before) == ("stop", (rest.low, rest.high))
+    # trace_interval and a traced fold report the same walk
+    outcome = traced_run("sum", low=low, high=high, direction=direction)
+    visits = [ev.interval_before for ev in outcome.events if ev.kind == "visit"]
+    assert visits == [ev.interval_before for ev in chain]
+    assert outcome.events[-1].interval_before == stop.interval_before
 
 
 def test_traced_sum_reports_peel_order():
@@ -100,6 +130,24 @@ def test_fold_event_count_matches_interval_length():
         counted = kinds(recorder.events)
         assert counted.count("visit") == n
         assert counted.count("stop") == 1
+
+
+def test_folds_report_the_whole_walk_before_the_first_combine():
+    # the walk reports every peel and the stop, then the fold combines: a combine
+    # that fails or observes something sees the full chain already recorded
+    for fold in (fold_rl, fold_lr):
+        recorder = TraceRecorder()
+        seen = []
+        fold(Interval(0, 3), 0, lambda i, acc: seen.append(len(recorder.events)),
+             observer=recorder)
+        assert seen == [5] * 4
+    for vfold in (vfold_rl, vfold_lr):
+        recorder = TraceRecorder()
+        vec = Vector([1, 2, 3, 4])
+        vec.observer = recorder
+        seen = []
+        vfold(vec, vec.full_interval(), 0, lambda e, i, acc: seen.append(len(recorder.events)))
+        assert seen == [5] * 4
 
 
 def test_step_numbers_are_consecutive_from_zero():
