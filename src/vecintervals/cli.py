@@ -47,6 +47,12 @@ _VECTOR_FLAGS = ("--a", "--b")
 _BLANKS = " \t\r\n"
 # built once: json.dumps with any non-default option builds a new encoder on every call
 _JSON = json.JSONEncoder(allow_nan=False)
+# the fast path of parse_vector_literal.  Its whitespace is exactly _BLANKS, every JSON
+# number is a token the loop accepts, and it builds them with int() and float() of the
+# same text.  int() of each name it would turn into a constant (NaN, Infinity,
+# -Infinity) raises ValueError, so those fall back to the loop too
+_SCANNER = json.JSONDecoder(parse_constant=int)
+_NUMBER_TYPES = frozenset((int, float))  # by type, not isinstance: JSON true is an int
 
 
 class VectorParseError(ValueError):
@@ -85,7 +91,16 @@ def parse_vector_literal(text: str) -> list[float]:
         body = body[1:-1].strip(_BLANKS)
     if not body:
         return []
-    values: list[float] = []
+    try:
+        values = _SCANNER.decode(f"[{body}]")
+    except (ValueError, RecursionError):  # not JSON, past int()'s digit limit, too deep
+        pass
+    else:
+        # no bool, None, str, list or dict, and no float that overflowed (1e400)
+        if _NUMBER_TYPES.issuperset(map(type, values)) and not (
+                math.inf in values or -math.inf in values):
+            return values
+    values = []
     for pos, token in enumerate(body.split(","), start=1):
         tok = token.strip(_BLANKS)
         # int() and float() also accept digit-group underscores (1_000), any Unicode
