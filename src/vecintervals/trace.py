@@ -58,7 +58,7 @@ class TraceEvent:
 
 
 def _out_of_bounds(subject: str, vec: Vector) -> str:
-    return f"{subject} is out of bounds for length {len(vec)}"
+    return f"{subject} is out of bounds for length {len(vec._items)}"
 
 
 class TraceRecorder:
@@ -80,9 +80,6 @@ class TraceRecorder:
         self._sink = sink if sink is not None else lambda *fields: append(TraceEvent(*fields))
         self._next_step = count().__next__
 
-    def _emit(self, kind, direction, interval_before, index, detail) -> None:
-        self._sink(self._next_step(), kind, direction, interval_before, index, detail)
-
     # -- interval walks ------------------------------------------------
 
     def decompose(self, index: int, before: Interval, direction: str) -> None:
@@ -91,20 +88,21 @@ class TraceRecorder:
             detail = f"[{low}..{high}] = [[{low}..{index - 1}]..{index}]"
         else:
             detail = f"[{low}..{high}] = [{index}..[{index + 1}..{high}]]"
-        self._emit("decompose", direction, (low, high), index, detail)
+        self._sink(self._next_step(), "decompose", direction, (low, high), index, detail)
 
     def interval_visit(self, index: int, before: Interval, direction: str) -> None:
-        self._emit("visit", direction, (before.low, before.high), index, f"index {index}")
+        self._sink(self._next_step(), "visit", direction, (before.low, before.high), index,
+                   f"index {index}")
 
     def element_visit(self, vec, index, elem, before: Interval, direction: str) -> None:
-        self._emit(
-            "visit", direction, (before.low, before.high), index,
+        self._sink(
+            self._next_step(), "visit", direction, (before.low, before.high), index,
             f"{vec.label}[{index}] -> {elem!r}",
         )
 
     def interval_stop(self, interval: Interval, direction: str) -> None:
-        self._emit(
-            "stop", direction, (interval.low, interval.high), None,
+        self._sink(
+            self._next_step(), "stop", direction, (interval.low, interval.high), None,
             f"[{interval.low}..{interval.high}] is empty",
         )
 
@@ -114,19 +112,21 @@ class TraceRecorder:
         name = vec.label
         detail = (f"{name}[{index}] -> {value!r}" if in_bounds
                   else _out_of_bounds(f"{name}[{index}]", vec))
-        self._emit("access", NO_DIRECTION, (0, len(vec) - 1), index, detail)
+        self._sink(self._next_step(), "access", NO_DIRECTION, (0, len(vec._items) - 1), index,
+                   detail)
 
     def element_written(self, vec, index, value, in_bounds: bool) -> None:
         name = vec.label
         detail = (f"{name}[{index}] = {value!r}" if in_bounds
                   else _out_of_bounds(f"{name}[{index}]", vec))
-        self._emit("mutate", NO_DIRECTION, (0, len(vec) - 1), index, detail)
+        self._sink(self._next_step(), "mutate", NO_DIRECTION, (0, len(vec._items) - 1), index,
+                   detail)
 
     def elements_swapped(self, vec, i, j, in_bounds: bool) -> None:
         name = vec.label
         detail = (f"{name}[{i}] <-> {name}[{j}]" if in_bounds
                   else _out_of_bounds(f"swap {name}[{i}], {name}[{j}]", vec))
-        self._emit("mutate", NO_DIRECTION, (0, len(vec) - 1), i, detail)
+        self._sink(self._next_step(), "mutate", NO_DIRECTION, (0, len(vec._items) - 1), i, detail)
 
 
 def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
