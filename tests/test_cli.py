@@ -83,6 +83,28 @@ def test_digit_token_past_the_int_limit_is_non_finite(capsys, sign):
     assert err == f"error: non-finite number {token!r} at token 1\n"
 
 
+@pytest.mark.parametrize("machine", [False, True])
+@pytest.mark.parametrize("text, message", [
+    # the JSON scanner raises RecursionError on this; it must not escape as internal
+    ("[" * 100_000 + "]" * 100_000,
+     f"bad number {'[' * 99_999 + ']' * 99_999!r} at token 1"),
+    # JSON values the scanner returns but the parser rejects: true is an int
+    ("1,true", "bad number 'true' at token 2"),
+    ("1,null", "bad number 'null' at token 2"),
+    ('1,"2"', "bad number '\"2\"' at token 2"),
+    ("[[1]]", "bad number '[1]' at token 1"),
+    ("1e400", "non-finite number '1e400' at token 1"),
+], ids=["deep-nesting", "true", "null", "string", "nested-list", "overflow"])
+def test_json_values_that_are_not_finite_numbers_are_parse_errors(capsys, text, message,
+                                                                   machine):
+    code, out, err = run(capsys, "avg", "--a", text, *(["--machine"] if machine else []))
+    assert (code, out) == (2, "")
+    if machine:
+        assert json.loads(err) == {"kind": "error", "error": "parse", "message": message}
+    else:
+        assert err == f"error: {message}\n"
+
+
 def test_only_ascii_blanks_may_surround_numbers_and_brackets():
     assert parse_vector_literal("\t[ 1 ,\r\n2 ]\n") == [1, 2]
     others = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in " \t\r\n"]
