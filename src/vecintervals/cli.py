@@ -17,6 +17,13 @@ must be UTF-8 text (a leading byte-order mark is skipped) whose lines end at
 ``\\n``.  Machine output is strict JSON: it never holds ``NaN`` or
 ``Infinity``, and a command line argparse rejects gets a ``usage`` record.
 
+A vector literal is read by one of two paths.  The JSON scanner decodes it
+first, and its result is accepted only when every value is an int or a
+finite float.  Anything else, including every malformed literal, goes to a
+per-token loop, which owns the parse rules and words every error message.
+``tests/test_parse_gate.py`` checks that the two agree on every text of up
+to three edge tokens.
+
 Exit codes (``_FAILURES`` maps exceptions to them): 0 success, 1 selftest
 case failures, 2 usage or input parse errors, 3 domain errors (empty
 average, length mismatch, bad interval bounds, a non-finite or overflowing

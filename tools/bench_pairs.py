@@ -1,12 +1,15 @@
 """Alternating parent/head pairs of the benchmark, summarised in one JSON file.
 
 Runs ``perfbench/run.py --trace 0`` in two checkouts, a parent and a head,
-once per workload and pair, alternating which side runs first, and then one
-``--trace 1`` run per side and workload.  The output holds every run's
-values, each side's median and quartiles per metric and workload, the
-number of pairs each side won (ties count for neither), whether the head's
-median stays within the metric's regression bound, and the traced metrics of
-both sides.
+once per workload and pair, alternating which side runs first, and then
+three ``--trace 1`` runs per side and workload, again alternating sides.
+The output holds every run's values, each side's median and quartiles per
+metric and workload, the number of pairs each side won (ties count for
+neither), whether the head's median stays within the metric's regression
+bound, and the traced metrics of both sides: under
+``traced[workload][side]``, ``metrics`` holds each per-layer metric's median
+over the three runs, ``values`` all three values, and ``correct``,
+``attempted`` and ``failed`` the runs' totals.
 
     python3 tools/bench_pairs.py --parent ../parent --head . --pairs 10 \\
         --seed 1000 --out BENCH_6.json
@@ -17,7 +20,7 @@ from the head's ``BENCHMARK.json``.  A metric whose parent spread (IQR over
 median) is wider than its bound is reported ``unresolved`` unless every head
 run beats every parent run; its ``within_bound`` is then ``null``, since the
 runs cannot tell a regression of that size from noise.
-Pair ``i`` uses seed ``seed + i`` on both sides.  The file is rewritten
+Pair ``i`` and traced run ``i`` use seed ``seed + i`` on both sides.  The file is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.
 Standard library only.
 """
@@ -33,6 +36,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "head")
+# single cold --trace 1 readings of the same code differed by up to 1.6x (vectors.get_ns,
+# BENCH_9.json)
+TRACED_RUNS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -100,6 +106,16 @@ def summarise(runs: list[dict], workloads: list[str], declared: list[dict]) -> d
     return summary
 
 
+def traced_summary(runs: list[dict]) -> dict:
+    """One side's ``--trace 1`` runs of a workload: totals, each metric's median and values."""
+    values = {name: [r["metrics"][name] for r in runs] for name in runs[0]["metrics"]}
+    return {
+        **{key: sum(r[key] for r in runs) for key in ("correct", "attempted", "failed")},
+        "metrics": {name: statistics.median(v) for name, v in values.items()},
+        "values": values,
+    }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((args.head / "BENCHMARK.json").read_text())
@@ -125,9 +141,13 @@ def main(argv=None) -> int:
             out["summary"] = summarise(out["pairs"], workloads, declared)
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload in workloads:
-        out["traced"][workload] = {side: run_bench(checkouts[side], workload, args.seed,
-                                                   seconds, 1)
-                                   for side in SIDES}
+        runs = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(run_bench(checkouts[side], workload, args.seed + i,
+                                            seconds, 1))
+                print(f"traced {i} {workload} {side}", file=sys.stderr, flush=True)
+        out["traced"][workload] = {side: traced_summary(runs[side]) for side in SIDES}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
