@@ -20,9 +20,9 @@ from the head's ``BENCHMARK.json``.  A metric whose parent spread (IQR over
 median) is wider than its bound is reported ``unresolved`` unless every head
 run beats every parent run; its ``within_bound`` is then ``null``, since the
 runs cannot tell a regression of that size from noise.
-Pair ``i`` and traced run ``i`` use seed ``seed + i`` on both sides.  The file is rewritten
-after every pair, so an interrupted run keeps the pairs it finished.
-Standard library only.
+Pair ``i`` and traced run ``i`` use seed ``seed + i`` on both sides.  The
+file is rewritten after every pair, so an interrupted run keeps the pairs it
+finished.  Standard library only.
 """
 
 from __future__ import annotations

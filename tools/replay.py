@@ -1,17 +1,22 @@
-"""Replay the golden CLI transcripts and the selftest on the interpreter that runs this.
+"""Replay the golden transcripts, selftest and parse gate on the interpreter running this.
 
     python3.13 tools/replay.py
 
 Records every case of ``tests/golden_cases.py`` and compares it with
 ``tests/golden/cli_transcripts.txt``, byte for byte, as ``tests/test_golden.py``
 does.  Prints ``identical/total``, then the command line of each case that
-differs, then the selftest's summary.  Exits 0 when every transcript is
-identical and every selftest case passes, else 1.  Standard library only, so
-it runs on interpreters that have no pytest.
+differs, then the selftest's summary, then the parse gate's
+(``tests/parse_gate.py``): the texts checked, the number on which
+``parse_vector_literal`` and the per-token loop differ, and the first few of
+those.  The JSON scanner that parser tries first, and ``int()``'s digit limit,
+vary by interpreter version.  Exits 0 when every transcript is identical,
+every selftest case passes and the gate finds no difference, else 1.
+Standard library only, so it runs on interpreters that have no pytest.
 """
 
 from __future__ import annotations
 
+import reprlib
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from golden_cases import CASES, command_line, load_golden, record, write_vector_files  # noqa: E402
+from parse_gate import differences  # noqa: E402
+from vecintervals.cli import parse_vector_literal  # noqa: E402
 from vecintervals.selftest import run_reference_cases  # noqa: E402
 
 
@@ -35,7 +42,11 @@ def main() -> int:
     results = run_reference_cases()
     failed = sum(1 for r in results if not r.passed)
     print(f"selftest: {len(results) - failed} passed, {failed} failed")
-    return 0 if not differ and not failed else 1
+    checked, gate_differ = differences(parse_vector_literal)
+    print(f"parse gate: {checked} texts, {len(gate_differ)} differ")
+    for text in gate_differ[:10]:
+        print(reprlib.repr(text))
+    return 0 if not differ and not failed and not gate_differ else 1
 
 
 if __name__ == "__main__":
