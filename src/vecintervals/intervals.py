@@ -14,7 +14,6 @@ the two walks as fold combinators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 A = TypeVar("A")
@@ -23,12 +22,60 @@ RIGHT_TO_LEFT = "right_to_left"
 LEFT_TO_RIGHT = "left_to_right"
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Value:
+    """An immutable value with the fields its class names in ``__match_args__``.
+
+    Instances compare and hash by their field values, and compare equal only
+    to instances of exactly the same class; the repr is
+    ``Name(field=value, ...)``, and copy and pickle rebuild an instance
+    through its constructor.  Assigning or deleting an attribute raises
+    ``AttributeError``.  A subclass declares its fields as its ``__slots__``
+    and sets them in ``__init__`` through the setters ``_slot_setters`` gives.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field slot of ``cls``, in ``__match_args__`` order.
+
+    Calling these pre-bound setters is the fastest way to fill the slots of
+    an instance whose ``__setattr__`` refuses every assignment.
+    """
+    return tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+
+class Interval(_Value):
     """The integers from ``low`` to ``high`` inclusive; empty when ``low > high``."""
 
-    low: int
-    high: int
+    __slots__ = __match_args__ = ("low", "high")
+
+    def __init__(self, low: int, high: int):
+        _set_low(self, low)
+        _set_high(self, high)
 
     def is_empty(self) -> bool:
         return self.low > self.high
@@ -58,12 +105,17 @@ class Interval:
         return Step(self.low, Interval(self.low + 1, self.high))
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(_Value):
     """One peel of a non-empty interval: the removed index and what remains."""
 
-    index: int
-    rest: Interval
+    __slots__ = __match_args__ = ("index", "rest")
+
+    def __init__(self, index: int, rest: Interval):
+        _set_index(self, index)
+        _set_rest(self, rest)
+
+
+(_set_low, _set_high), (_set_index, _set_rest) = _slot_setters(Interval), _slot_setters(Step)
 
 
 def fold_rl(

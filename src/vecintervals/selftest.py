@@ -7,20 +7,23 @@ dot products to within 0.01, merges and sorts element by element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algorithms import OPERATIONS
-from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Interval
+from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Interval, _Value, _slot_setters
 from .vectors import Vector
 
 NUMERIC_TOLERANCE = 0.01
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    passed: bool
-    detail: str
+class CaseResult(_Value):
+    __slots__ = __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_detail(self, detail)
+
+
+_set_name, _set_passed, _set_detail = _slot_setters(CaseResult)
 
 
 def _check_empty(low: int, high: int, expected: bool) -> tuple[bool, str]:

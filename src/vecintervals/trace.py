@@ -26,18 +26,16 @@ Event kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from .algorithms import OPERATIONS
-from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
+from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _Value, _slot_setters, _walk
 from .vectors import Vector
 
 NO_DIRECTION = "none"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(_Value):
     """One recorded step.
 
     ``step`` counts from 0 within a recorder.  ``kind`` is one of
@@ -49,12 +47,20 @@ class TraceEvent:
     human-readable rendering.
     """
 
-    step: int
-    kind: str
-    direction: str
-    interval_before: tuple[int, int]
-    index: int | None
-    detail: str
+    __slots__ = __match_args__ = (
+        "step", "kind", "direction", "interval_before", "index", "detail")
+
+    def __init__(self, step: int, kind: str, direction: str, interval_before: tuple[int, int],
+                 index: int | None, detail: str):
+        _set_step(self, step)
+        _set_kind(self, kind)
+        _set_dir(self, direction)
+        _set_before(self, interval_before)
+        _set_index(self, index)
+        _set_detail(self, detail)
+
+
+_set_step, _set_kind, _set_dir, _set_before, _set_index, _set_detail = _slot_setters(TraceEvent)
 
 
 def _out_of_bounds(subject: str, vec: Vector) -> str:
@@ -146,13 +152,18 @@ def trace_interval(low: int, high: int, direction: str = RIGHT_TO_LEFT, *,
     return recorder.events
 
 
-@dataclass
-class TracedRun:
-    """Outcome of an instrumented run: result, captured error (or None), events."""
+class TracedRun(_Value):
+    """Outcome of an instrumented run: result, captured error (or None), events.
 
-    result: object
-    error: Exception | None
-    events: list[TraceEvent]
+    Unlike the other value classes its fields can be reassigned, so it has no hash.
+    """
+
+    __slots__ = __match_args__ = ("result", "error", "events")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, result: object, error: Exception | None, events: list[TraceEvent]):
+        self.result, self.error, self.events = result, error, events
 
     @property
     def ok(self) -> bool:

@@ -17,10 +17,9 @@ observer is told of every access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
-from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
+from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _slot_setters, _walk
 
 A = TypeVar("A")
 
@@ -112,7 +111,6 @@ class Vector:
         items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
 class VectorInterval(Interval):
     """An interval validated against a vector length at construction.
 
@@ -126,14 +124,21 @@ class VectorInterval(Interval):
     bounds that still satisfy the rule.
     """
 
-    vec_len: int
+    __slots__ = ("vec_len",)
+    __match_args__ = ("low", "high", "vec_len")
 
-    def __post_init__(self):
-        low, high, n = self.low, self.high, self.vec_len
+    def __init__(self, low: int, high: int, vec_len: int):
+        n = vec_len
         if not (hasattr(type(low), "__index__") and 0 <= low <= n):
             raise IntervalConstraintError(f"low bound {low!r} is not an index in 0..{n}")
         if not (hasattr(type(high), "__index__") and -1 <= high <= n - 1):
             raise IntervalConstraintError(f"high bound {high!r} is not an index in -1..{n - 1}")
+        _set_low(self, low)
+        _set_high(self, high)
+        _set_vec_len(self, vec_len)
+
+
+_set_low, _set_high, _set_vec_len = _slot_setters(VectorInterval)
 
 
 def _require_pairing(vec: Vector, interval: VectorInterval) -> None:

@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: output text, exit codes, machine mode, file input."""
 
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -486,6 +488,28 @@ def test_a_crashing_case_is_a_failure_and_the_others_still_run(capsys, monkeypat
     assert [r.passed for r in results if r not in crashed] == [True] * 13
     assert main(["selftest"]) == 1
     capsys.readouterr()
+
+
+def test_case_results_are_immutable_values():
+    result = selftest.CaseResult(name="n", passed=True, detail="d")
+    assert repr(result) == "CaseResult(name='n', passed=True, detail='d')"
+    assert result == selftest.CaseResult("n", True, "d")
+    assert hash(result) == hash(selftest.CaseResult("n", True, "d"))
+    for other in (selftest.CaseResult("n", False, "d"), ("n", True, "d")):
+        assert result != other and other != result
+    for name in ("name", "passed", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+        with pytest.raises(AttributeError):
+            delattr(result, name)
+    match result:
+        case selftest.CaseResult(name, passed, detail):
+            assert (name, passed, detail) == ("n", True, "d")
+        case _:
+            pytest.fail("CaseResult did not match its positional pattern")
+    pickled = [pickle.loads(pickle.dumps(result, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [copy.copy(result), copy.deepcopy(result), *pickled]:
+        assert type(twin) is selftest.CaseResult and twin == result
 
 
 # -- a closed stdout ---------------------------------------------------------------

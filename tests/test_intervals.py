@@ -1,5 +1,7 @@
 """Interval construction, emptiness, the two decompositions and the folds."""
 
+import copy
+import pickle
 import random
 import sys
 
@@ -102,6 +104,75 @@ def test_interval_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         iv.low = 0
     assert len({Interval(1, 2), Interval(1, 2), Interval(2, 1)}) == 2
+
+
+# -- value semantics: Interval and Step are immutable values --------------------------
+
+def test_interval_and_step_take_their_fields_by_keyword():
+    iv = Interval(high=2, low=1)
+    assert (iv.low, iv.high) == (1, 2)
+    step = Step(rest=iv, index=3)
+    assert (step.index, step.rest) == (3, iv)
+
+
+def test_interval_and_step_reprs():
+    assert repr(Interval(1, 2)) == "Interval(low=1, high=2)"
+    assert repr(Interval(0, -1)) == "Interval(low=0, high=-1)"
+    assert repr(Interval(3, 4).split_high()) == "Step(index=4, rest=Interval(low=3, high=3))"
+
+
+@pytest.mark.parametrize("value, twin, unequal", [
+    (Interval(1, 2), Interval(1, 2), [Interval(1, 3), Interval(0, 2), (1, 2), [1, 2], None]),
+    (Step(2, Interval(1, 1)), Step(2, Interval(1, 1)),
+     [Step(2, Interval(1, 2)), Step(1, Interval(1, 1)), (2, Interval(1, 1)), Interval(1, 1)]),
+])
+def test_interval_and_step_compare_and_hash_by_value_within_their_class(value, twin, unequal):
+    assert value == twin and twin == value and value is not twin
+    assert hash(value) == hash(twin)
+    for other in unequal:
+        assert value != other and other != value
+
+
+def test_an_interval_never_equals_an_instance_of_a_subclass():
+    class Sub(Interval):
+        __slots__ = ()
+
+    assert Interval(1, 2) != Sub(1, 2) and Sub(1, 2) != Interval(1, 2)
+    assert Sub(1, 2) == Sub(1, 2)
+
+
+@pytest.mark.parametrize("value", [Interval(1, 2), Step(2, Interval(1, 1))], ids=repr)
+def test_interval_and_step_fields_cannot_be_assigned_or_deleted(value):
+    for name in ("low", "high") if isinstance(value, Interval) else ("index", "rest"):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == before
+    with pytest.raises(AttributeError):
+        value.other = 0
+
+
+def test_interval_and_step_match_by_position():
+    match Interval(3, 5):
+        case Interval(lo, hi):
+            assert (lo, hi) == (3, 5)
+        case _:
+            pytest.fail("Interval did not match its positional pattern")
+    match Interval(3, 5).split_low():
+        case Step(i, Interval(lo, hi)):
+            assert (i, lo, hi) == (3, 4, 5)
+        case _:
+            pytest.fail("Step did not match its positional pattern")
+
+
+@pytest.mark.parametrize("value", [Interval(1, 2), Interval(5, 4), Step(2, Interval(1, 1))],
+                         ids=repr)
+def test_interval_and_step_survive_copy_deepcopy_and_pickle(value):
+    pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [copy.copy(value), copy.deepcopy(value), *pickled]:
+        assert type(twin) is type(value) and twin == value
 
 
 def test_fold_sum_examples():

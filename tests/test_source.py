@@ -1,6 +1,8 @@
 """Guards on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import vecintervals
@@ -56,6 +58,16 @@ def test_each_checked_access_reports_to_its_observer_once():
         calls = [node for node in ast.walk(methods[method])
                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == hook]
         assert len(calls) == 1, method
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses brings inspect, ast and dis with it, about a third of the CLI's start;
+    # -S keeps a host's .pth files from importing them before the package does
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import vecintervals.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_public_names_are_pinned():

@@ -1,7 +1,8 @@
 """The step tracer: decomposition chains, instrumented runs, non-interference."""
 
-import dataclasses
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -14,7 +15,9 @@ from vecintervals import (
     LEFT_TO_RIGHT,
     OutOfBoundsError,
     RIGHT_TO_LEFT,
+    TraceEvent,
     TraceRecorder,
+    TracedRun,
     Vector,
     avg_vector,
     dot_product,
@@ -161,12 +164,15 @@ def test_sink_gets_the_fields_of_every_event_and_the_list_stays_empty():
         returned = trace(*args, **kwargs, sink=lambda *fields: got.append(fields))
         return got, returned
 
+    def fields(ev):
+        return (ev.step, ev.kind, ev.direction, ev.interval_before, ev.index, ev.detail)
+
     vecs = (Vector([1, 4, 6]), Vector([2, 4, 5, 8, 9]))
     got, outcome = streamed(traced_run, "merge", vecs)
-    assert got == [dataclasses.astuple(ev) for ev in traced_run("merge", vecs).events]
+    assert got == [fields(ev) for ev in traced_run("merge", vecs).events]
     assert outcome.ok and outcome.events == []
     got, chain = streamed(trace_interval, -1, 1, LEFT_TO_RIGHT)
-    assert got == [dataclasses.astuple(ev) for ev in trace_interval(-1, 1, LEFT_TO_RIGHT)]
+    assert got == [fields(ev) for ev in trace_interval(-1, 1, LEFT_TO_RIGHT)]
     assert chain == []
 
 
@@ -332,3 +338,70 @@ def test_tracing_never_changes_the_outcome(name, inputs, low, high, direction):
             getattr(traced.error, "attempted_index", None),
         )
     assert normalized == untraced_outcome(name, inputs, low=low, high=high, direction=direction)
+
+
+# -- value semantics: TraceEvent is an immutable value, TracedRun a mutable one ------
+
+EVENT = TraceEvent(3, "visit", LEFT_TO_RIGHT, (0, 2), 1, "v[1] -> 7")
+
+
+def test_trace_event_takes_its_fields_by_keyword():
+    ev = TraceEvent(detail="v[1] -> 7", index=1, interval_before=(0, 2),
+                    direction=LEFT_TO_RIGHT, kind="visit", step=3)
+    assert ev == EVENT and hash(ev) == hash(EVENT)
+    assert trace_interval(0, -1)[0] == TraceEvent(
+        step=0, kind="stop", direction=RIGHT_TO_LEFT, interval_before=(0, -1), index=None,
+        detail="[0..-1] is empty")
+
+
+def test_trace_event_repr():
+    assert repr(EVENT) == ("TraceEvent(step=3, kind='visit', direction='left_to_right', "
+                           "interval_before=(0, 2), index=1, detail='v[1] -> 7')")
+
+
+def test_trace_event_equals_only_trace_events_with_the_same_fields():
+    fields = (3, "visit", LEFT_TO_RIGHT, (0, 2), 1, "v[1] -> 7")
+    for other in (TraceEvent(4, *fields[1:]), TraceEvent(*fields[:5], "v[1] -> 8"), fields,
+                  TracedRun(*fields[:3])):
+        assert EVENT != other and other != EVENT
+
+
+def test_trace_event_fields_cannot_be_assigned_or_deleted():
+    for name in ("step", "kind", "direction", "interval_before", "index", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(EVENT, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(EVENT, name)
+    assert EVENT == TraceEvent(3, "visit", LEFT_TO_RIGHT, (0, 2), 1, "v[1] -> 7")
+
+
+def test_trace_event_and_traced_run_match_by_position():
+    match traced_run("sum", low=1, high=1):
+        case TracedRun(1, None, [TraceEvent(0, "visit", _, (1, 1), 1, _), *_]):
+            pass
+        case other:
+            pytest.fail(f"no positional match for {other!r}")
+
+
+def test_traced_run_is_mutable_unhashable_and_equal_by_value():
+    run = TracedRun(result=3, error=None, events=[EVENT])
+    assert repr(run) == f"TracedRun(result=3, error=None, events=[{EVENT!r}])"
+    assert run == TracedRun(3, None, [EVENT]) and run.ok
+    for other in (TracedRun(4, None, [EVENT]), TracedRun(3, None, []), (3, None, [EVENT])):
+        assert run != other and other != run
+    with pytest.raises(TypeError):
+        hash(TracedRun(3, None, ()))  # unhashable even when every field is hashable
+    run.result, run.error = 4, ValueError("late")
+    assert run.result == 4 and not run.ok
+
+
+@pytest.mark.parametrize("value", [
+    EVENT,
+    TraceEvent(0, "stop", RIGHT_TO_LEFT, (0, -1), None, "[0..-1] is empty"),
+    TracedRun(7.5, None, [EVENT]),
+    TracedRun(None, None, []),
+], ids=repr)
+def test_trace_values_survive_copy_deepcopy_and_pickle(value):
+    pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [copy.copy(value), copy.deepcopy(value), *pickled]:
+        assert type(twin) is type(value) and twin == value

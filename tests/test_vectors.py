@@ -1,5 +1,7 @@
 """Checked vector access, interval validation and the vector folds."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -179,6 +181,55 @@ def test_vector_interval_is_immutable():
     iv = VectorInterval(0, 1, 2)
     with pytest.raises(AttributeError):
         iv.vec_len = 5
+
+
+def test_vector_interval_fields_cannot_be_assigned_or_deleted():
+    iv = VectorInterval(0, 1, 2)
+    for name in ("low", "high", "vec_len"):
+        with pytest.raises(AttributeError):
+            setattr(iv, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(iv, name)
+    assert (iv.low, iv.high, iv.vec_len) == (0, 1, 2)
+
+
+def test_vector_interval_takes_its_fields_by_keyword_and_validates_them():
+    assert VectorInterval(vec_len=3, high=2, low=0) == VectorInterval(0, 2, 3)
+    with pytest.raises(IntervalConstraintError, match=r"^high bound 3 is not an index in -1..2$"):
+        VectorInterval(low=0, high=3, vec_len=3)
+
+
+def test_vector_interval_checks_low_before_high():
+    with pytest.raises(IntervalConstraintError, match=r"^low bound -1 is not an index in 0..3$"):
+        VectorInterval(-1, 9, 3)
+
+
+def test_vector_interval_repr():
+    assert repr(VectorInterval(0, 2, 3)) == "VectorInterval(low=0, high=2, vec_len=3)"
+    assert repr(Vector([]).full_interval()) == "VectorInterval(low=0, high=-1, vec_len=0)"
+
+
+def test_vector_interval_equals_only_vector_intervals():
+    iv = VectorInterval(1, 2, 3)
+    assert iv == VectorInterval(1, 2, 3) and hash(iv) == hash(VectorInterval(1, 2, 3))
+    assert isinstance(iv, Interval)
+    for other in (Interval(1, 2), VectorInterval(1, 2, 4), (1, 2, 3)):
+        assert iv != other and other != iv
+
+
+def test_vector_interval_matches_by_position():
+    match VectorInterval(1, 2, 3):
+        case VectorInterval(lo, hi, n):
+            assert (lo, hi, n) == (1, 2, 3)
+        case _:
+            pytest.fail("VectorInterval did not match its positional pattern")
+
+
+@pytest.mark.parametrize("iv", [VectorInterval(1, 2, 3), VectorInterval(0, -1, 0)], ids=repr)
+def test_vector_interval_survives_copy_deepcopy_and_pickle(iv):
+    pickled = [pickle.loads(pickle.dumps(iv, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [copy.copy(iv), copy.deepcopy(iv), *pickled]:
+        assert type(twin) is VectorInterval and twin == iv
 
 
 def test_full_interval_examples():
