@@ -181,10 +181,6 @@ def test_vector_interval_is_immutable():
     iv = VectorInterval(0, 1, 2)
     with pytest.raises(AttributeError):
         iv.vec_len = 5
-
-
-def test_vector_interval_fields_cannot_be_assigned_or_deleted():
-    iv = VectorInterval(0, 1, 2)
     for name in ("low", "high", "vec_len"):
         with pytest.raises(AttributeError):
             setattr(iv, name, 1)
