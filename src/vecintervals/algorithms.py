@@ -21,8 +21,9 @@ gets its precise diagnostic.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from operator import add
-from typing import Callable, NamedTuple
 
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _fold
 from .vectors import Vector, vfold_lr, vfold_rl
@@ -198,7 +199,7 @@ def _returning_vector(sort: Callable[[Vector], None]) -> Callable[[Vector], Vect
     return run
 
 
-class _Operation(NamedTuple):
+class _Operation(namedtuple("_Operation", "command arity run help")):
     """One operation the CLI, ``traced_run`` and the selftest offer, keyed by name in OPERATIONS.
 
     ``arity`` is the number of vector inputs; 0 means the operation takes an
@@ -207,10 +208,7 @@ class _Operation(NamedTuple):
     ``Vector``, and the inputs' observers see every step.
     """
 
-    command: str
-    arity: int
-    run: Callable
-    help: str
+    __slots__ = ()
 
 
 OPERATIONS = {

@@ -39,7 +39,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .algorithms import OPERATIONS
 from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
@@ -145,9 +144,10 @@ def load_vector_argument(arg: str) -> list[float]:
     else:
         path, lineno = ref, 1
     try:
-        # "-sig" skips a byte-order mark; decoding the bytes, not read_text(), keeps a
+        # "-sig" skips a byte-order mark; decoding the bytes, not reading text, keeps a
         # lone \r inside its line
-        raw = Path(path).read_bytes().decode("utf-8-sig")
+        with open(path, "rb") as file:
+            raw = file.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise VectorParseError(f"cannot read {path}: {exc}") from None
     # lines end at \n alone; str.splitlines() would also split at \v, \f, \x1c-\x1e,

@@ -14,9 +14,7 @@ the two walks as fold combinators.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
-
-A = TypeVar("A")
+from collections.abc import Callable
 
 RIGHT_TO_LEFT = "right_to_left"
 LEFT_TO_RIGHT = "left_to_right"
@@ -120,11 +118,11 @@ class Step(_Value):
 
 def fold_rl(
     interval: Interval,
-    base: A,
-    combine: Callable[[int, A], A],
+    base: object,
+    combine: Callable[[int, object], object],
     *,
     observer=None,
-) -> A:
+) -> object:
     """Fold over the interval, peeling the highest index first.
 
     Satisfies ``fold_rl(iv, b, f) == f(iv.high, fold_rl(rest, b, f))`` for a
@@ -143,11 +141,11 @@ def fold_rl(
 
 def fold_lr(
     interval: Interval,
-    base: A,
-    combine: Callable[[int, A], A],
+    base: object,
+    combine: Callable[[int, object], object],
     *,
     observer=None,
-) -> A:
+) -> object:
     """Fold over the interval, peeling the lowest index first.
 
     Mirror image of ``fold_rl``: satisfies
@@ -182,8 +180,8 @@ def _walk(low: int, high: int, direction: str, observer=None, visit=None):
     return peels[::-1]
 
 
-def _fold(interval: Interval, base: A, combine: Callable[[int, A], A], observer,
-          direction: str) -> A:
+def _fold(interval: Interval, base: object, combine: Callable[[int, object], object],
+          observer, direction: str) -> object:
     visit = None if observer is None else observer.interval_visit
     acc = base
     for i in _walk(interval.low, interval.high, direction, observer, visit):

@@ -17,11 +17,9 @@ observer is told of every access.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar
+from collections.abc import Callable, Iterable
 
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _slot_setters, _walk
-
-A = TypeVar("A")
 
 
 class OutOfBoundsError(IndexError):
@@ -154,9 +152,9 @@ def _require_pairing(vec: Vector, interval: VectorInterval) -> None:
 def vfold_rl(
     vec: Vector,
     interval: VectorInterval,
-    base: A,
-    combine: Callable[[float, int, A], A],
-) -> A:
+    base: object,
+    combine: Callable[[float, int, object], object],
+) -> object:
     """Fold over the vector elements named by ``interval``, highest index first.
 
     ``combine(element, index, acc)`` follows the same nesting as ``fold_rl``,
@@ -171,15 +169,15 @@ def vfold_rl(
 def vfold_lr(
     vec: Vector,
     interval: VectorInterval,
-    base: A,
-    combine: Callable[[float, int, A], A],
-) -> A:
+    base: object,
+    combine: Callable[[float, int, object], object],
+) -> object:
     """Mirror of ``vfold_rl``: lowest index peeled first, combine completes downward."""
     return _vfold(vec, interval, base, combine, LEFT_TO_RIGHT)
 
 
-def _vfold(vec: Vector, interval: VectorInterval, base: A,
-           combine: Callable[[float, int, A], A], direction: str) -> A:
+def _vfold(vec: Vector, interval: VectorInterval, base: object,
+           combine: Callable[[float, int, object], object], direction: str) -> object:
     _require_pairing(vec, interval)
     items = vec._items
     obs = vec.observer

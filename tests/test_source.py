@@ -70,6 +70,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_neither_typing_nor_pathlib():
+    # annotations are strings under `from __future__ import annotations`, so they need no
+    # typing at run time; typing and pathlib bring about a dozen modules with them
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import vecintervals.cli; "
+            "print(sorted({'typing', 'pathlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_public_names_are_pinned():
     # __all__ is the public contract: a name may not appear, vanish or stop resolving
     # without this list changing with it
