@@ -70,6 +70,11 @@ class Vector:
     def __repr__(self) -> str:
         return f"Vector({self._items!r})"
 
+    def __getstate__(self):
+        # the slot state copy and pickle protocols 2+ build by default; pickle protocols
+        # 0 and 1 refuse a __slots__ class that does not define it
+        return None, {"_items": self._items, "label": self.label, "observer": self.observer}
+
     def to_list(self) -> list[float]:
         """Copy of the elements as a plain list."""
         return list(self._items)

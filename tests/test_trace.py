@@ -275,6 +275,15 @@ def test_traced_run_usage_errors_raise_immediately():
         traced_run("avg", (Vector([1, 2]),), direction=LEFT_TO_RIGHT)
 
 
+def test_traced_run_rejects_an_unknown_interval_direction_before_running():
+    events = []
+    with pytest.raises(ValueError) as info:
+        traced_run("sum", low=1, high=2, direction="sideways",
+                   sink=lambda *fields: events.append(fields))
+    assert str(info.value) == "unknown direction 'sideways'"
+    assert events == []
+
+
 def untraced_outcome(name, inputs=(), low=None, high=None, direction=RIGHT_TO_LEFT):
     """Run the plain, uninstrumented operation and normalize the outcome."""
     vecs = [Vector(list(v)) for v in inputs]
@@ -405,3 +414,12 @@ def test_trace_values_survive_copy_deepcopy_and_pickle(value):
     pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in [copy.copy(value), copy.deepcopy(value), *pickled]:
         assert type(twin) is type(value) and twin == value
+
+
+def test_traced_run_with_a_vector_result_survives_pickle_at_every_protocol():
+    run = traced_run("insort", (Vector([10, 3, 7]),))
+    assert type(run.result) is Vector and run.events
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(run, protocol))
+        assert type(twin) is TracedRun and twin == run, protocol
+        assert (twin.result.label, twin.result.observer) == ("a", None), protocol
