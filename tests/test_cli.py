@@ -157,6 +157,20 @@ def test_missing_file_is_a_parse_error(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_vector_file_is_opened_by_the_path_as_written(tmp_path):
+    # no "./", "//" or trailing "/" is normalised away, in the path opened or in the message
+    for path in (f"{tmp_path}/./absent.txt", f"{tmp_path}//absent.txt"):
+        with pytest.raises(VectorParseError) as info:
+            load_vector_argument(f"@{path}")
+        assert str(info.value) == \
+            f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"
+    vecfile = tmp_path / "vecs.txt"
+    vecfile.write_text("1,2\n")
+    assert load_vector_argument(f"@{tmp_path}/./vecs.txt") == [1, 2]
+    with pytest.raises(VectorParseError, match=f"^cannot read {re.escape(str(vecfile))}/: "):
+        load_vector_argument(f"@{vecfile}/")
+
+
 def test_file_line_out_of_range(capsys, tmp_path):
     vecfile = tmp_path / "vecs.txt"
     vecfile.write_text("1,2\n")
