@@ -9,14 +9,19 @@ differs, then the selftest's summary, then the parse gate's
 (``tests/parse_gate.py``): the texts checked, the number on which
 ``parse_vector_literal`` and the per-token loop differ, and the first few of
 those.  The JSON scanner that parser tries first, and ``int()``'s digit limit,
-vary by interpreter version.  Exits 0 when every transcript is identical,
-every selftest case passes and the gate finds no difference, else 1.
-Standard library only, so it runs on interpreters that have no pytest.
+vary by interpreter version.  Last, it imports ``vecintervals.cli`` in a
+``python -S`` interpreter, so that no ``.pth`` file loads anything first, and
+prints the number of modules loaded and which of ``typing``, ``pathlib``,
+``dataclasses`` and ``inspect`` are among them.  Exits 0 when every
+transcript is identical, every selftest case passes, the gate finds no
+difference and none of those four modules is loaded, else 1.  Standard
+library only, so it runs on interpreters that have no pytest.
 """
 
 from __future__ import annotations
 
 import reprlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +33,20 @@ from golden_cases import CASES, command_line, load_golden, record, write_vector_
 from parse_gate import differences  # noqa: E402
 from vecintervals.cli import parse_vector_literal  # noqa: E402
 from vecintervals.selftest import run_reference_cases  # noqa: E402
+
+
+# modules the CLI's start must not pay for; tests/test_source.py checks the same
+UNWANTED = ("typing", "pathlib", "dataclasses", "inspect")
+
+
+def cli_imports() -> tuple[int, list[str]]:
+    """How many modules ``python -S`` holds after importing the CLI, and which are unwanted."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import vecintervals.cli; "
+            "print(len(sys.modules), *[m for m in sys.argv[2:] if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), *UNWANTED],
+                          capture_output=True, text=True, check=True)
+    count, *loaded = proc.stdout.split()
+    return int(count), loaded
 
 
 def main() -> int:
@@ -46,7 +65,10 @@ def main() -> int:
     print(f"parse gate: {checked} texts, {len(gate_differ)} differ")
     for text in gate_differ[:10]:
         print(reprlib.repr(text))
-    return 0 if not differ and not failed and not gate_differ else 1
+    modules, loaded = cli_imports()
+    print(f"import vecintervals.cli under -S: {modules} modules, "
+          f"{', '.join(loaded) or 'none'} of {', '.join(UNWANTED)}")
+    return 0 if not differ and not failed and not gate_differ and not loaded else 1
 
 
 if __name__ == "__main__":
