@@ -409,17 +409,9 @@ def test_traced_run_is_mutable_unhashable_and_equal_by_value():
     TraceEvent(0, "stop", RIGHT_TO_LEFT, (0, -1), None, "[0..-1] is empty"),
     TracedRun(7.5, None, [EVENT]),
     TracedRun(None, None, []),
+    pytest.param(traced_run("insort", (Vector([10, 3]),)), id="traced-insort-vector-result"),
 ], ids=repr)
 def test_trace_values_survive_copy_deepcopy_and_pickle(value):
     pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in [copy.copy(value), copy.deepcopy(value), *pickled]:
         assert type(twin) is type(value) and twin == value
-
-
-def test_traced_run_with_a_vector_result_survives_pickle_at_every_protocol():
-    run = traced_run("insort", (Vector([10, 3, 7]),))
-    assert type(run.result) is Vector and run.events
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        twin = pickle.loads(pickle.dumps(run, protocol))
-        assert type(twin) is TracedRun and twin == run, protocol
-        assert (twin.result.label, twin.result.observer) == ("a", None), protocol

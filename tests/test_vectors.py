@@ -228,19 +228,15 @@ def test_vector_interval_survives_copy_deepcopy_and_pickle(iv):
         assert type(twin) is VectorInterval and twin == iv
 
 
-def test_labelled_vector_survives_pickle_at_every_protocol():
+def test_labelled_vector_survives_copy_deepcopy_and_pickle_at_every_protocol():
     vec = Vector([2, 1.5, -3], label="a")
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        twin = pickle.loads(pickle.dumps(vec, protocol))
-        assert type(twin) is Vector and twin == vec, protocol
-        assert (twin.label, twin.observer) == ("a", None), protocol
-
-
-def test_vector_copy_shares_the_elements_and_deepcopy_does_not():
-    vec = Vector([2, 1.5], label="a")
+    pickled = [pickle.loads(pickle.dumps(vec, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     shallow, deep = copy.copy(vec), copy.deepcopy(vec)
+    for twin in [shallow, deep, *pickled]:
+        assert type(twin) is Vector and twin == vec
+        assert (twin.label, twin.observer) == ("a", None)
+    # a shallow copy shares the element list
     assert shallow._items is vec._items and deep._items is not vec._items
-    assert shallow == deep == vec and shallow.label == deep.label == "a"
 
 
 def test_full_interval_examples():
