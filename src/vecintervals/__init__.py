@@ -7,74 +7,18 @@ non-empty interval can only name valid indices, so the element accesses it
 drives cannot go out of bounds; everything else goes through checked accessors
 that fail with a precise diagnostic instead of reading garbage.
 
-``insertion_sort_buggy`` (an out-of-bounds exhibit) stays out of this public
-surface on purpose; import it explicitly from ``vecintervals.algorithms``.
+Each module names its public surface in its own ``__all__``, and the package
+exports their union.  ``insertion_sort_buggy`` (an out-of-bounds exhibit),
+``algorithms.OPERATIONS`` and ``trace.NO_DIRECTION`` stay out of it on
+purpose; import them by name from their modules.
 """
 
-from .algorithms import (
-    EmptyVectorError,
-    LengthMismatchError,
-    avg_vector,
-    dot_product,
-    insert_step,
-    insertion_sort_in_place,
-    merge_sorted,
-    sum_interval_lr,
-    sum_interval_rl,
-)
-from .intervals import (
-    Interval,
-    LEFT_TO_RIGHT,
-    RIGHT_TO_LEFT,
-    Step,
-    fold_lr,
-    fold_rl,
-)
-from .trace import (
-    TraceEvent,
-    TraceRecorder,
-    TracedRun,
-    trace_interval,
-    traced_run,
-)
-from .vectors import (
-    IntervalConstraintError,
-    OutOfBoundsError,
-    Vector,
-    VectorInterval,
-    VectorMismatchError,
-    vfold_lr,
-    vfold_rl,
-)
+from . import algorithms, intervals, trace, vectors
+from .algorithms import *
+from .intervals import *
+from .trace import *
+from .vectors import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmptyVectorError",
-    "Interval",
-    "IntervalConstraintError",
-    "LEFT_TO_RIGHT",
-    "LengthMismatchError",
-    "OutOfBoundsError",
-    "RIGHT_TO_LEFT",
-    "Step",
-    "TraceEvent",
-    "TraceRecorder",
-    "TracedRun",
-    "Vector",
-    "VectorInterval",
-    "VectorMismatchError",
-    "avg_vector",
-    "dot_product",
-    "fold_lr",
-    "fold_rl",
-    "insert_step",
-    "insertion_sort_in_place",
-    "merge_sorted",
-    "sum_interval_lr",
-    "sum_interval_rl",
-    "trace_interval",
-    "traced_run",
-    "vfold_lr",
-    "vfold_rl",
-]
+__all__ = sorted(algorithms.__all__ + intervals.__all__ + trace.__all__ + vectors.__all__)

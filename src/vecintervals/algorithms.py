@@ -28,6 +28,10 @@ from operator import add
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _fold
 from .vectors import Vector, vfold_lr, vfold_rl
 
+# insertion_sort_buggy (an out-of-bounds exhibit) and OPERATIONS are imported by name
+__all__ = ["EmptyVectorError", "LengthMismatchError", "avg_vector", "dot_product", "insert_step",
+           "insertion_sort_in_place", "merge_sorted", "sum_interval_lr", "sum_interval_rl"]
+
 
 class EmptyVectorError(ValueError):
     """The average of a zero-length vector is undefined."""

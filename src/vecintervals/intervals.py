@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+__all__ = ["Interval", "LEFT_TO_RIGHT", "RIGHT_TO_LEFT", "Step", "fold_lr", "fold_rl"]
+
 RIGHT_TO_LEFT = "right_to_left"
 LEFT_TO_RIGHT = "left_to_right"
 

@@ -32,6 +32,9 @@ from .algorithms import OPERATIONS
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _Value, _slot_setters, _walk
 from .vectors import Vector
 
+__all__ = ["TraceEvent", "TraceRecorder", "TracedRun", "trace_interval", "traced_run"]
+
+# the direction of access and mutate events; imported by name
 NO_DIRECTION = "none"
 
 

@@ -21,6 +21,9 @@ from collections.abc import Callable, Iterable
 
 from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _slot_setters, _walk
 
+__all__ = ["IntervalConstraintError", "OutOfBoundsError", "Vector", "VectorInterval",
+           "VectorMismatchError", "vfold_lr", "vfold_rl"]
+
 
 class OutOfBoundsError(IndexError):
     """Checked vector access outside ``0..len-1``, with a full diagnostic."""
