@@ -138,6 +138,8 @@ def load_vector_argument(arg: str) -> list[float]:
     if not arg.startswith("@"):
         return parse_vector_literal(arg)
     ref = arg[1:]
+    if not ref:
+        raise VectorParseError("missing file name after @")
     path, _, line_part = ref.rpartition(":")
     if path and line_part.isascii() and line_part.isdigit():
         lineno = int(line_part)
@@ -208,6 +210,18 @@ def _event_sink(machine: bool):
         f"{step:4d}  {kind:<9}  {detail}\n")
 
 
+def _bound(text: str) -> int:
+    """An interval bound, read by the vector literal's int rule: ASCII digits, no ``_``."""
+    tok = text.strip(_BLANKS)
+    if tok.isascii() and (tok[1:] if tok[:1] in "+-" else tok).isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # past int()'s digit limit
+            pass
+    # the wording argparse gives a type=int rejection
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _machine_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--machine", action="store_true",
                    help="emit JSON lines instead of plain text")
@@ -218,8 +232,8 @@ def _add_command(sub, command: str, help_text: str, arity: int, **defaults) -> N
     p = sub.add_parser(command, help=help_text)
     p.set_defaults(**defaults)
     if arity == 0:
-        p.add_argument("--low", type=int, required=True)
-        p.add_argument("--high", type=int, required=True)
+        p.add_argument("--low", type=_bound, required=True)
+        p.add_argument("--high", type=_bound, required=True)
         p.add_argument("--direction", choices=_DIRECTIONS, default="rl",
                        help="fold direction: rl peels the high end first (default), "
                             "lr the low end")

@@ -197,6 +197,24 @@ def test_file_line_takes_only_ascii_digits(capsys, tmp_path, suffix, machine):
         assert f"cannot read {vecfile}:{suffix}: " in err
 
 
+@pytest.mark.parametrize("machine", [False, True])
+def test_a_bare_at_sign_is_a_missing_file_name(capsys, tmp_path, monkeypatch, machine):
+    code, out, err = run(capsys, "avg", "--a", "@", *(["--machine"] if machine else []))
+    assert (code, out) == (2, "")
+    if machine:
+        assert json.loads(err) == {"kind": "error", "error": "parse",
+                                   "message": "missing file name after @"}
+    else:
+        assert err == "error: missing file name after @\n"
+    # a name that is all line suffix is still a path, opened as written
+    monkeypatch.chdir(tmp_path)
+    for ref in (":2", ":"):
+        with pytest.raises(VectorParseError, match=f"^cannot read {ref}: "):
+            load_vector_argument(f"@{ref}")
+    (tmp_path / ":2").write_text("1,2\n")
+    assert load_vector_argument("@:2") == [1, 2]
+
+
 # -- plain results -----------------------------------------------------------
 
 def test_sum_interval_outputs(capsys):
@@ -207,6 +225,34 @@ def test_sum_interval_outputs(capsys):
                                "--high", high, "--direction", direction)
             assert code == 0
             assert out.strip() == expected
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "\xa01\xa0", "9" * 4400],
+                         ids=["underscore", "arabic-indic-one", "no-break-space", "4400-digits"])
+def test_interval_bounds_take_the_vector_literal_int_rule(capsys, text):
+    # int() accepts the first three; the last is past int()'s default digit limit, pinned
+    # here so that PYTHONINTMAXSTRDIGITS=0 does not make it a valid bound
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["sum-interval", "--low", text, "--high", "3"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --low: invalid int value: {text!r}\n")
+        code, out, err = run(capsys, "trace", "interval", "--low", "1", "--high", text,
+                             "--machine")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "kind": "error", "error": "usage",
+        "message": f"vecintervals trace interval: argument --high: invalid int value: {text!r}"}
+
+
+def test_interval_bounds_may_be_signed_and_padded_with_ascii_blanks(capsys):
+    for low in ("+2", " 2", "\t2\n"):
+        assert run(capsys, "sum-interval", f"--low={low}", "--high", "3") == (0, "5\n", "")
 
 
 def test_avg_output_formats_integral_floats_bare(capsys):
