@@ -60,21 +60,13 @@ def test_each_checked_access_reports_to_its_observer_once():
         assert len(calls) == 1, method
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_pathlib():
     # dataclasses brings inspect, ast and dis with it, about a third of the CLI's start;
+    # annotations are strings under `from __future__ import annotations`, so they need no
+    # typing at run time, and typing and pathlib bring about a dozen modules with them.
     # -S keeps a host's .pth files from importing them before the package does
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import vecintervals.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
-
-
-def test_importing_the_cli_loads_neither_typing_nor_pathlib():
-    # annotations are strings under `from __future__ import annotations`, so they need no
-    # typing at run time; typing and pathlib bring about a dozen modules with them
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import vecintervals.cli; "
-            "print(sorted({'typing', 'pathlib'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"

@@ -12,10 +12,14 @@ those.  The JSON scanner that parser tries first, and ``int()``'s digit limit,
 vary by interpreter version.  Last, it imports ``vecintervals.cli`` in a
 ``python -S`` interpreter, so that no ``.pth`` file loads anything first, and
 prints the number of modules loaded and which of ``typing``, ``pathlib``,
-``dataclasses`` and ``inspect`` are among them.  Exits 0 when every
+``dataclasses`` and ``inspect`` are among them.  Then it runs
+``test_public_names_are_pinned`` from ``tests/test_source.py`` and prints
+``public names: ok`` or the assertion that failed.  Exits 0 when every
 transcript is identical, every selftest case passes, the gate finds no
-difference and none of those four modules is loaded, else 1.  Standard
-library only, so it runs on interpreters that have no pytest.
+difference, none of those four modules is loaded and the public names
+match, else 1.  Standard library only, so it runs on interpreters that have
+no pytest; run it without ``-O``, which strips the public-name test's
+asserts.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from golden_cases import CASES, command_line, load_golden, record, write_vector_files  # noqa: E402
 from parse_gate import differences  # noqa: E402
+from test_source import test_public_names_are_pinned  # noqa: E402
 from vecintervals.cli import parse_vector_literal  # noqa: E402
 from vecintervals.selftest import run_reference_cases  # noqa: E402
 
@@ -47,6 +52,15 @@ def cli_imports() -> tuple[int, list[str]]:
                           capture_output=True, text=True, check=True)
     count, *loaded = proc.stdout.split()
     return int(count), loaded
+
+
+def public_names() -> str:
+    """``ok`` when the package exports exactly its pinned names, else the assertion's repr."""
+    try:
+        test_public_names_are_pinned()
+    except AssertionError as exc:
+        return repr(exc)
+    return "ok"
 
 
 def main() -> int:
@@ -68,7 +82,10 @@ def main() -> int:
     modules, loaded = cli_imports()
     print(f"import vecintervals.cli under -S: {modules} modules, "
           f"{', '.join(loaded) or 'none'} of {', '.join(UNWANTED)}")
-    return 0 if not differ and not failed and not gate_differ and not loaded else 1
+    names = public_names()
+    print(f"public names: {names}")
+    return 0 if (not differ and not failed and not gate_differ and not loaded
+                 and names == "ok") else 1
 
 
 if __name__ == "__main__":
