@@ -137,14 +137,13 @@ def load_vector_argument(arg: str) -> list[float]:
     """Resolve a vector argument: a literal, or ``@path``/``@path:N`` file reference."""
     if not arg.startswith("@"):
         return parse_vector_literal(arg)
-    ref = arg[1:]
-    if not ref:
+    if arg == "@":
         raise VectorParseError("missing file name after @")
-    path, _, line_part = ref.rpartition(":")
+    path, _, line_part = arg[1:].rpartition(":")
     if path and line_part.isascii() and line_part.isdigit():
         lineno = int(line_part)
     else:
-        path, lineno = ref, 1
+        path, lineno = arg[1:], 1
     try:
         # "-sig" skips a byte-order mark; decoding the bytes, not reading text, keeps a
         # lone \r inside its line
