@@ -218,7 +218,9 @@ def test_a_bare_at_sign_is_a_missing_file_name(capsys, tmp_path, monkeypatch, ma
 # -- plain results -----------------------------------------------------------
 
 def test_sum_interval_outputs(capsys):
-    cases = [("10", "1", "0"), ("10", "10", "10"), ("-1", "1", "0")]
+    # a bound may be signed and padded with ASCII blanks, as a vector literal's int may
+    cases = [("10", "1", "0"), ("10", "10", "10"), ("-1", "1", "0"), ("+2", " 3", "5"),
+             ("\t2\n", "+3", "5")]
     for low, high, expected in cases:
         for direction in ("rl", "lr"):
             code, out, _ = run(capsys, "sum-interval", "--low", low,
@@ -248,11 +250,6 @@ def test_interval_bounds_take_the_vector_literal_int_rule(capsys, text):
     assert json.loads(err) == {
         "kind": "error", "error": "usage",
         "message": f"vecintervals trace interval: argument --high: invalid int value: {text!r}"}
-
-
-def test_interval_bounds_may_be_signed_and_padded_with_ascii_blanks(capsys):
-    for low in ("+2", " 2", "\t2\n"):
-        assert run(capsys, "sum-interval", f"--low={low}", "--high", "3") == (0, "5\n", "")
 
 
 def test_avg_output_formats_integral_floats_bare(capsys):
