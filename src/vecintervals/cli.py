@@ -43,7 +43,7 @@ import sys
 from .algorithms import OPERATIONS
 from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from .selftest import run_reference_cases
-from .trace import trace_interval, traced_run
+from .trace import TraceRecorder, trace_interval
 from .vectors import OutOfBoundsError, Vector
 
 _DIRECTIONS = {"rl": RIGHT_TO_LEFT, "lr": LEFT_TO_RIGHT}
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                  handler=_run_trace_interval)
     for name, op in OPERATIONS.items():
         _add_command(targets, name.replace("_", "-"), op.help, op.arity,
-                     handler=_run_trace, operation=op, algorithm=name)
+                     handler=_run_operation, operation=op)
 
     p = sub.add_parser("selftest", help="run the bundled example cases")
     p.set_defaults(handler=_run_selftest)
@@ -268,27 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inputs(args) -> tuple[tuple[Vector, ...], dict]:
-    """The run's ``(vectors, bounds)``: the interval's bounds, or the vectors in flag order."""
-    op = args.operation
-    if op.arity == 0:
-        return (), {"low": args.low, "high": args.high, "direction": _DIRECTIONS[args.direction]}
-    return tuple(Vector(load_vector_argument(getattr(args, flag[2:])))
-                 for flag in _VECTOR_FLAGS[:op.arity]), {}
-
-
 def _run_trace_interval(args, machine: bool) -> int:
     trace_interval(args.low, args.high, _DIRECTIONS[args.direction], sink=_event_sink(machine))
-    return 0
-
-
-def _run_trace(args, machine: bool) -> int:
-    vectors, bounds = _inputs(args)
-    outcome = traced_run(args.algorithm, vectors, **bounds, sink=_event_sink(machine))
-    # the events up to a failure are already written when main reports it
-    if outcome.error is not None:
-        raise outcome.error
-    _emit_result(machine, outcome.result)
     return 0
 
 
@@ -305,8 +286,23 @@ def _run_selftest(args, machine: bool) -> int:
 
 
 def _run_operation(args, machine: bool) -> int:
-    vectors, bounds = _inputs(args)
-    _emit_result(machine, args.operation.run(*vectors, **bounds))
+    """Run an operation subcommand or ``trace`` target: a trace target's inputs are observed.
+
+    The recorder writes each event as it happens, so a run that fails has
+    already written every event before the failure when ``main`` reports it.
+    """
+    op = args.operation
+    observer = TraceRecorder(sink=_event_sink(machine)) if args.command == "trace" else None
+    if op.arity == 0:
+        result = op.run(args.low, args.high, _DIRECTIONS[args.direction], observer)
+    else:
+        # labelled by flag, so a trace names its inputs a and b
+        vectors = [Vector(load_vector_argument(getattr(args, flag[2:])), label=flag[2:])
+                   for flag in _VECTOR_FLAGS[:op.arity]]
+        for vec in vectors:
+            vec.observer = observer
+        result = op.run(*vectors)
+    _emit_result(machine, result)
     return 0
 
 
