@@ -247,8 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vecintervals",
         description="Bounds-safe vector operations driven by validated index intervals.",
+        # 3.13 counts the subcommand indent when it places the help column, older
+        # versions do not; capped at 16, the column is the same on every version
+        formatter_class=functools.partial(argparse.HelpFormatter, max_help_position=16),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a short name keeps the usage line on one line, however argparse wraps it
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for op in OPERATIONS.values():
         _add_command(sub, op.command, op.help, op.arity, handler=_run_operation, operation=op)
 

@@ -1,10 +1,8 @@
 """Golden CLI transcripts: stdout, stderr and exit code of every subcommand, byte for byte.
 
 The cases, and ``record``, which renders one, live in ``golden_cases.py``.
-argparse's plain-mode usage and help text was recorded under Python 3.11 and
-may wrap differently on other versions (3.13 keeps the subcommand list on
-one line where 3.11 wraps it); machine mode and every other byte are the
-same on every supported version.  ``tools/replay.py`` replays the cases on
+Every byte, argparse's usage and help text included, is the same on every
+supported version (3.10 to 3.13).  ``tools/replay.py`` replays the cases on
 any interpreter.
 
 After a deliberate change of CLI output, rewrite the file with
