@@ -11,7 +11,10 @@ which no OS argv can carry.
 A second fuzz runs each operation and its ``trace`` target on the same
 generated inputs, in both modes, and checks that tracing changes nothing but
 the events written before the result: the exit code, stderr and the result
-line agree, and accepted results match ``tests/oracles.py`` exactly.
+line agree, and accepted results match ``tests/oracles.py`` exactly.  The
+events themselves must be those ``traced_run`` records on the same inputs,
+rendered as plain lines or as 7-key machine records: the CLI attaches its
+own recorder, and ``traced_run`` is its reference.
 Vectors are written as ``--a=...``, since argparse takes a value such as
 ``-1e+16`` after a bare ``--a`` for an option.
 """
@@ -29,6 +32,9 @@ from hypothesis import strategies as st
 from oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
 from vecintervals.algorithms import OPERATIONS
 from vecintervals.cli import main
+from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from vecintervals.trace import traced_run
+from vecintervals.vectors import Vector
 
 TMP = "<tmp>"
 EXIT_CODES = {0, 1, 2, 3, 4}
@@ -129,14 +135,18 @@ vectors = st.lists(ints, max_size=12) | st.lists(elements, max_size=12)
 
 @st.composite
 def operations(draw) -> tuple[str, list[str], dict]:
-    """``(name, flags, inputs)``: an operation, its ``--x=`` flags and the values they hold."""
+    """``(name, flags, inputs)``: an operation, its ``--x=`` flags and the values they hold.
+
+    ``inputs`` holds the vectors as lists under ``a`` and ``b``, or the
+    interval's ``low``, ``high`` and ``direction`` as ``traced_run`` takes them.
+    """
     name = draw(st.sampled_from(["sum", "avg", "dot", "merge", "insort", "insort_buggy"]))
     if name == "sum":
         low = draw(ints)
         high = low + draw(st.integers(-3, 40))
-        direction = draw(st.sampled_from(["rl", "lr"]))
-        return name, [f"--low={low}", f"--high={high}", f"--direction={direction}"], \
-            {"low": low, "high": high}
+        flag, direction = draw(st.sampled_from([("rl", RIGHT_TO_LEFT), ("lr", LEFT_TO_RIGHT)]))
+        return name, [f"--low={low}", f"--high={high}", f"--direction={flag}"], \
+            {"low": low, "high": high, "direction": direction}
     a = draw(vectors)
     if OPERATIONS[name].arity == 1:
         inputs = {"a": a}
@@ -167,13 +177,24 @@ def _oracle(name: str, inputs: dict):
 @given(operation=operations())
 def test_traced_and_untraced_runs_agree(operation):
     name, flags, inputs = operation
+    reference = traced_run(name, tuple(Vector(inputs[v]) for v in "ab" if v in inputs),
+                           **{k: v for k, v in inputs.items() if k not in ("a", "b")})
     for mode in ([], ["--machine"]):
         code, out, err = _run([OPERATIONS[name].command, *flags, *mode])
         traced_code, traced_out, traced_err = _run(["trace", name.replace("_", "-"), *flags,
                                                     *mode])
         assert (traced_code, traced_err) == (code, err)
         # a failed run writes its events and no result; an accepted one ends with its result
-        assert out == (traced_out.splitlines(keepends=True)[-1] if code == 0 else "")
+        lines = traced_out.splitlines(keepends=True)
+        assert out == (lines[-1] if code == 0 else "")
+        events = [line.rstrip("\n") for line in (lines[:-1] if code == 0 else lines)]
+        if mode:
+            assert [json.loads(line) for line in events] == [
+                {"kind": e.kind, "step": e.step, "direction": e.direction,
+                 "low": e.interval_before[0], "high": e.interval_before[1], "index": e.index,
+                 "detail": e.detail} for e in reference.events]
+        else:
+            assert events == [f"{e.step:4d}  {e.kind:<9}  {e.detail}" for e in reference.events]
     if code == 0:
         expected = _oracle(name, inputs)
         assert expected is None or json.loads(out) == {"kind": "result", "value": expected}
