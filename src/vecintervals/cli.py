@@ -39,11 +39,12 @@ import json
 import math
 import os
 import sys
+from itertools import count
 
 from .algorithms import OPERATIONS
-from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
 from .selftest import run_reference_cases
-from .trace import TraceRecorder, trace_interval
+from .trace import NO_DIRECTION, _out_of_bounds
 from .vectors import OutOfBoundsError, Vector
 
 _DIRECTIONS = {"rl": RIGHT_TO_LEFT, "lr": LEFT_TO_RIGHT}
@@ -194,19 +195,78 @@ def _emit_result(machine: bool, value) -> None:
     _emit(machine, {"kind": "result", "value": value}, plain)
 
 
-def _event_sink(machine: bool):
-    """A trace sink that writes each event as it happens, in the mode's rendering."""
-    write = sys.stdout.write
-    if machine:
-        # the encoder's layout, written by template: kind and direction are fixed ASCII
-        # names and step, low, high and index are ints (index may be None), so only
-        # the free-text detail needs the encoder
-        return lambda step, kind, direction, before, index, detail: write(
-            f'{{"kind": "{kind}", "step": {step}, "direction": "{direction}", '
-            f'"low": {before[0]}, "high": {before[1]}, '
-            f'"index": {"null" if index is None else index}, "detail": {_json(detail)}}}\n')
-    return lambda step, kind, direction, before, index, detail: write(
-        f"{step:4d}  {kind:<9}  {detail}\n")
+class _TraceWriter:
+    """The ``trace`` output: an observer that writes each event to stdout as it happens.
+
+    It has ``TraceRecorder``'s observer methods and numbers its events the
+    same way.  Each method words its event's ``detail`` once, as the recorder
+    does, and writes the finished line itself: ``{step:4d}  {kind:<9}
+    {detail}`` in plain mode, else the 7-key JSON record.  Checked reads and
+    swaps, nearly every event of a traced run, write in their own method; the
+    rarer kinds share ``_line``.  Nothing is kept, so memory stays flat
+    however long the trace.
+    """
+
+    def __init__(self, machine: bool):
+        self._machine, self._write, self._next_step = machine, sys.stdout.write, count().__next__
+
+    def _line(self, kind: str, direction: str, low: int, high: int, index, detail: str) -> None:
+        if self._machine:
+            # the encoder's layout, written by template: kind and direction are fixed ASCII
+            # names and step, low, high and index are ints (index may be None), so only
+            # the free-text detail needs the encoder
+            self._write(f'{{"kind": "{kind}", "step": {self._next_step()}, "direction": '
+                        f'"{direction}", "low": {low}, "high": {high}, "index": '
+                        f'{"null" if index is None else index}, "detail": {_json(detail)}}}\n')
+        else:
+            self._write(f"{self._next_step():4d}  {kind:<9}  {detail}\n")
+
+    def decompose(self, index: int, before, direction: str) -> None:
+        low, high = before.low, before.high
+        if direction == RIGHT_TO_LEFT:
+            detail = f"[{low}..{high}] = [[{low}..{index - 1}]..{index}]"
+        else:
+            detail = f"[{low}..{high}] = [{index}..[{index + 1}..{high}]]"
+        self._line("decompose", direction, low, high, index, detail)
+
+    def interval_visit(self, index: int, before, direction: str) -> None:
+        self._line("visit", direction, before.low, before.high, index, f"index {index}")
+
+    def element_visit(self, vec, index, elem, before, direction: str) -> None:
+        self._line("visit", direction, before.low, before.high, index,
+                   f"{vec.label}[{index}] -> {elem!r}")
+
+    def interval_stop(self, interval, direction: str) -> None:
+        low, high = interval.low, interval.high
+        self._line("stop", direction, low, high, None, f"[{low}..{high}] is empty")
+
+    def element_read(self, vec, index, value, in_bounds: bool) -> None:
+        detail = (f"{vec.label}[{index}] -> {value!r}" if in_bounds
+                  else _out_of_bounds(f"{vec.label}[{index}]", vec))
+        # _line's layouts with kind "access" and direction "none" filled in
+        if self._machine:
+            self._write(f'{{"kind": "access", "step": {self._next_step()}, "direction": "none", '
+                        f'"low": 0, "high": {len(vec._items) - 1}, "index": {index}, '
+                        f'"detail": {_json(detail)}}}\n')
+        else:
+            self._write(f"{self._next_step():4d}  access     {detail}\n")
+
+    def element_written(self, vec, index, value, in_bounds: bool) -> None:
+        detail = (f"{vec.label}[{index}] = {value!r}" if in_bounds
+                  else _out_of_bounds(f"{vec.label}[{index}]", vec))
+        self._line("mutate", NO_DIRECTION, 0, len(vec._items) - 1, index, detail)
+
+    def elements_swapped(self, vec, i, j, in_bounds: bool) -> None:
+        name = vec.label
+        detail = (f"{name}[{i}] <-> {name}[{j}]" if in_bounds
+                  else _out_of_bounds(f"swap {name}[{i}], {name}[{j}]", vec))
+        # _line's layouts with kind "mutate" and direction "none" filled in
+        if self._machine:
+            self._write(f'{{"kind": "mutate", "step": {self._next_step()}, "direction": "none", '
+                        f'"low": 0, "high": {len(vec._items) - 1}, "index": {i}, '
+                        f'"detail": {_json(detail)}}}\n')
+        else:
+            self._write(f"{self._next_step():4d}  mutate     {detail}\n")
 
 
 def _bound(text: str) -> int:
@@ -273,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_trace_interval(args, machine: bool) -> int:
-    trace_interval(args.low, args.high, _DIRECTIONS[args.direction], sink=_event_sink(machine))
+    # the walk trace_interval runs, with the writer as its observer and per-peel report
+    writer = _TraceWriter(machine)
+    _walk(args.low, args.high, _DIRECTIONS[args.direction], writer, writer.decompose)
     return 0
 
 
@@ -292,11 +354,11 @@ def _run_selftest(args, machine: bool) -> int:
 def _run_operation(args, machine: bool) -> int:
     """Run an operation subcommand or ``trace`` target: a trace target's inputs are observed.
 
-    The recorder writes each event as it happens, so a run that fails has
+    The trace writer writes each event as it happens, so a run that fails has
     already written every event before the failure when ``main`` reports it.
     """
     op = args.operation
-    observer = TraceRecorder(sink=_event_sink(machine)) if args.command == "trace" else None
+    observer = _TraceWriter(machine) if args.command == "trace" else None
     if op.arity == 0:
         result = op.run(args.low, args.high, _DIRECTIONS[args.direction], observer)
     else:

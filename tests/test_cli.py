@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecintervals import Vector, cli, selftest, traced_run
+from vecintervals import Interval, TraceRecorder, Vector, cli, selftest, traced_run
 from vecintervals.cli import (
     VectorParseError,
     build_parser,
@@ -26,7 +27,6 @@ from vecintervals.cli import (
     parse_vector_literal,
 )
 from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
-from vecintervals.trace import NO_DIRECTION
 
 
 def run(capsys, *argv):
@@ -388,19 +388,87 @@ free_text = st.text(st.characters(exclude_categories=()) | st.characters(categor
     lambda text: re.sub("([\ud800-\udbff])(?=[\udc00-\udfff])", "\\1 ", text))
 
 
-@given(step=st.integers(0, 10**300),
-       kind=st.sampled_from(["decompose", "visit", "stop", "access", "mutate"]),
-       direction=st.sampled_from([RIGHT_TO_LEFT, LEFT_TO_RIGHT, NO_DIRECTION]),
-       low=event_ints, high=event_ints, index=st.none() | event_ints, detail=free_text)
-def test_machine_trace_event_is_the_encoders_record(step, kind, direction, low, high, index,
-                                                    detail):
-    record = {"kind": kind, "step": step, "direction": direction, "low": low, "high": high,
-              "index": index, "detail": detail}
+OBSERVER_METHODS = sorted(name for name, value in vars(TraceRecorder).items()
+                          if callable(value) and not name.startswith("_"))
+event_values = event_ints | st.floats()
+
+
+@st.composite
+def observer_calls(draw, labels=st.sampled_from("ab"), ints=st.integers(-2, 5) | event_ints):
+    """One observer call as the walks and vectors make it: (method name, its arguments).
+
+    A checked access is in bounds exactly when its index is, and a read of a
+    bad index gets no value, as ``Vector`` reports them.
+    """
+    name = draw(st.sampled_from(OBSERVER_METHODS))
+    vec = Vector(draw(st.lists(event_values, max_size=4)), label=draw(labels))
+    n = len(vec)
+    index, other = draw(ints), draw(ints)
+    before = Interval(draw(ints), draw(ints))
+    direction = draw(st.sampled_from([RIGHT_TO_LEFT, LEFT_TO_RIGHT]))
+    args = {
+        "decompose": (index, before, direction),
+        "interval_visit": (index, before, direction),
+        "element_visit": (vec, index, draw(event_values), before, direction),
+        "interval_stop": (before, direction),
+        "element_read": (vec, index, vec.to_list()[index] if 0 <= index < n else None,
+                         0 <= index < n),
+        "element_written": (vec, index, draw(event_values), 0 <= index < n),
+        "elements_swapped": (vec, index, other, 0 <= index < n and 0 <= other < n),
+    }
+    return name, args[name]
+
+
+def write_trace(machine: bool, calls, first_step: int = 0) -> str:
+    """What the CLI's trace writer writes for ``calls``, numbering from ``first_step``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._event_sink(True)(step, kind, direction, (low, high), index, detail)
-    assert out.getvalue() == cli._JSON.encode(record) + "\n"
-    assert json.loads(out.getvalue()) == record
+        writer = cli._TraceWriter(machine)
+        writer._next_step = itertools.count(first_step).__next__
+        for name, args in calls:
+            getattr(writer, name)(*args)
+    return out.getvalue()
+
+
+def recorded(calls) -> list:
+    recorder = TraceRecorder()
+    for name, args in calls:
+        getattr(recorder, name)(*args)
+    return recorder.events
+
+
+def machine_record(event, step: int) -> dict:
+    return {"kind": event.kind, "step": step, "direction": event.direction,
+            "low": event.interval_before[0], "high": event.interval_before[1],
+            "index": event.index, "detail": event.detail}
+
+
+@given(step=st.integers(0, 10**300), call=observer_calls(labels=free_text))
+def test_machine_trace_event_is_the_encoders_record(step, call):
+    [event] = recorded([call])
+    record = machine_record(event, step)
+    line = write_trace(True, [call], first_step=step)
+    assert line == cli._JSON.encode(record) + "\n"
+    assert json.loads(line) == record
+
+
+def test_trace_writer_has_the_recorders_observer_methods():
+    methods = {name for name, value in vars(cli._TraceWriter).items()
+               if callable(value) and not name.startswith("_")}
+    assert methods == set(OBSERVER_METHODS) and len(methods) == 7
+
+
+# every method, in and out of bounds: the CLI never reaches an out-of-bounds write or
+# swap, so neither the golden transcripts nor the fuzz see that wording
+@given(calls=st.lists(observer_calls(), max_size=6), machine=st.booleans())
+def test_trace_writer_writes_the_recorders_events(calls, machine):
+    events = recorded(calls)
+    out = write_trace(machine, calls)
+    if machine:
+        assert [json.loads(line) for line in out.splitlines()] == [
+            machine_record(event, event.step) for event in events]
+    else:
+        assert out == "".join(f"{e.step:4d}  {e.kind:<9}  {e.detail}\n" for e in events)
 
 
 def test_machine_selftest_records(capsys):

@@ -25,8 +25,8 @@ def test_package_has_no_assert_statements():
 def test_cli_encodes_json_strictly_in_one_place():
     # allow_nan=False makes the encoder raise instead of writing NaN or Infinity, which
     # are not JSON; one encoder and one call site mean every machine record gets that check.
-    # Trace events write their int fields and fixed names by template and pass their one
-    # free-text field, detail, through that encoder's helper
+    # The trace writer's machine lines write their int fields and fixed names by template
+    # and pass their one free-text field, detail, through that encoder's helper
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     names = [getattr(node.func, "attr", getattr(node.func, "id", None)) for node in calls]
@@ -36,14 +36,26 @@ def test_cli_encodes_json_strictly_in_one_place():
               if kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)]
     assert [kw.value.value for kw in strict] == [False]
     assert names.count("dumps") + names.count("encode") == 1
-    sink = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_event_sink")
-    machine = next(node for node in sink.body
-                   if isinstance(node, ast.If) and getattr(node.test, "id", None) == "machine")
-    helper_calls = [node for node in ast.walk(machine)
-                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_json"]
-    assert [[getattr(arg, "id", None) for arg in call.args] for call in helper_calls] \
-        == [["detail"]]
+
+    def helper_args(nodes):
+        return [[getattr(arg, "id", None) for arg in node.args]
+                for stmt in nodes for node in ast.walk(stmt)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_json"]
+
+    writer = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_TraceWriter")
+    # every method that writes a line picks the mode once: its machine branch encodes
+    # detail and nothing else, its plain branch encodes nothing
+    writing = [method for method in writer.body if isinstance(method, ast.FunctionDef)
+               and any(getattr(node, "attr", None) == "_write" and isinstance(node.ctx, ast.Load)
+                       for node in ast.walk(method))]
+    assert len(writing) >= 2
+    for method in writing:
+        [mode] = [node for node in ast.walk(method) if isinstance(node, ast.If)
+                  and getattr(node.test, "attr", None) == "_machine"]
+        assert helper_args(mode.body) == [["detail"]], method.name
+        assert helper_args(mode.orelse) == [], method.name
+    assert len(helper_args([writer])) == len(writing)
 
 
 def test_each_checked_access_reports_to_its_observer_once():
