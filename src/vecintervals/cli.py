@@ -91,6 +91,22 @@ _FAILURES = (
 )
 
 
+def _int_token(tok: str) -> int | None:
+    """``tok`` as an int if it is an optionally signed ASCII digit run ``int()`` takes, else None.
+
+    This is the CLI's one int rule, for vector literal tokens and interval
+    bounds alike.  Only such a run is tried, so no other token pays for a
+    failed ``int()``, and ``int()``'s own extras (``_``, Unicode digits,
+    surrounding whitespace) never get through.
+    """
+    if tok.isascii() and (tok[1:] if tok[:1] in "+-" else tok).isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # past int()'s digit limit
+            pass
+    return None
+
+
 def parse_vector_literal(text: str) -> list[float]:
     """Parse ``1,4,6`` or ``[1,4,6]`` (or an empty string) into numbers."""
     body = text.strip(_BLANKS)
@@ -115,21 +131,15 @@ def parse_vector_literal(text: str) -> list[float]:
         # vector literals do not
         if "_" in tok or not tok.isascii() or not tok.isprintable():
             raise VectorParseError(f"bad number {tok!r} at token {pos}")
-        # only an optionally signed run of digits can be an int, so no other token pays
-        # for a failed int(); a digit run int() rejects (past its digit limit) goes on
-        if (tok[1:] if tok[:1] in "+-" else tok).isdigit():
+        # a digit run int() rejects (past its digit limit) goes on to float()
+        if (value := _int_token(tok)) is None:
             try:
-                values.append(int(tok))
-                continue
+                value = float(tok)
             except ValueError:
-                pass
-        try:
-            value = float(tok)
-        except ValueError:
-            raise VectorParseError(f"bad number {tok!r} at token {pos}") from None
-        # ints are always finite; float() also saturates int tokens past the digit limit
-        if not math.isfinite(value):
-            raise VectorParseError(f"non-finite number {tok!r} at token {pos}")
+                raise VectorParseError(f"bad number {tok!r} at token {pos}") from None
+            # float() also saturates int tokens past the digit limit
+            if not math.isfinite(value):
+                raise VectorParseError(f"non-finite number {tok!r} at token {pos}")
         values.append(value)
     return values
 
@@ -271,14 +281,11 @@ class _TraceWriter:
 
 def _bound(text: str) -> int:
     """An interval bound, read by the vector literal's int rule: ASCII digits, no ``_``."""
-    tok = text.strip(_BLANKS)
-    if tok.isascii() and (tok[1:] if tok[:1] in "+-" else tok).isdigit():
-        try:
-            return int(tok)
-        except ValueError:  # past int()'s digit limit
-            pass
-    # the wording argparse gives a type=int rejection
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = _int_token(text.strip(_BLANKS))
+    if value is None:
+        # the wording argparse gives a type=int rejection
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _machine_flag(p: argparse.ArgumentParser) -> None:
