@@ -9,10 +9,19 @@ neither), whether the head's median stays within the metric's regression
 bound, and the traced metrics of both sides: under
 ``traced[workload][side]``, ``metrics`` holds each per-layer metric's median
 over the three runs, ``values`` all three values, and ``correct``,
-``attempted`` and ``failed`` the runs' totals.
+``attempted`` and ``failed`` the runs' totals.  It also records both
+checkout paths, relative to the output file's directory, the run length and
+the first pair's seed.
 
     python3 tools/bench_pairs.py --parent ../parent --head . --pairs 10 \\
         --seed 1000 --out BENCH_6.json
+
+``--extend`` adds ``--pairs`` more pairs to an existing ``--out`` file in
+place of starting a new one: they continue at its next pair number and
+seed (``--seed`` is then ignored), the summary is recomputed over all
+pairs, and only the workloads it has no traced runs for are traced.  It
+refuses a file written for other checkout paths or another run length,
+since its pairs would not compare.
 
 Both checkouts need ``perfbench/`` and ``src/``; the workloads, the run
 length and the metric names, their better direction and their bounds come
@@ -21,14 +30,15 @@ median) is wider than its bound is reported ``unresolved`` unless every head
 run beats every parent run; its ``within_bound`` is then ``null``, since the
 runs cannot tell a regression of that size from noise.
 Pair ``i`` and traced run ``i`` use seed ``seed + i`` on both sides.  The
-file is rewritten after every pair, so an interrupted run keeps the pairs it
-finished.  Standard library only.
+file is rewritten after every pair and every traced workload, so an
+interrupted run keeps what it finished.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -48,6 +58,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--extend", action="store_true",
+                   help="add the pairs to the existing --out file, from its next pair and seed")
     return p.parse_args(argv)
 
 
@@ -122,12 +134,23 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     declared, seconds = bench["end_to_end"], bench["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "head": args.head.resolve()}
+    # relative to the output file's directory, so the file names no host directory
+    where = args.out.resolve().parent
     out = {
-        "python": platform.python_version(), "seconds": seconds, "pairs": [],
-        "metrics": declared, "summary": {}, "traced": {},
+        "python": platform.python_version(), "seconds": seconds,
+        "checkouts": {side: os.path.relpath(path, where) for side, path in checkouts.items()},
+        "seed": args.seed,
+        "pairs": [], "metrics": declared, "summary": {}, "traced": {},
     }
-    for i in range(args.pairs):
-        seed = args.seed + i
+    if args.extend:
+        old = json.loads(args.out.read_text())
+        if (old.get("checkouts"), old["seconds"]) != (out["checkouts"], seconds):
+            sys.exit(f"{args.out} was run on {old.get('checkouts')} at {old['seconds']} s, "
+                     f"not on {out['checkouts']} at {seconds} s")
+        out = old
+    first = out["pairs"][-1]["pair"] + 1 if out["pairs"] else 0
+    for i in range(first, first + args.pairs):
+        seed = out["seed"] + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             run = {"pair": i, "seed": seed, "workload": workload, "first": order[0]}
@@ -141,14 +164,16 @@ def main(argv=None) -> int:
             out["summary"] = summarise(out["pairs"], workloads, declared)
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload in workloads:
+        if workload in out["traced"]:
+            continue
         runs = {side: [] for side in SIDES}
         for i in range(TRACED_RUNS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs[side].append(run_bench(checkouts[side], workload, args.seed + i,
+                runs[side].append(run_bench(checkouts[side], workload, out["seed"] + i,
                                             seconds, 1))
                 print(f"traced {i} {workload} {side}", file=sys.stderr, flush=True)
         out["traced"][workload] = {side: traced_summary(runs[side]) for side in SIDES}
-    args.out.write_text(json.dumps(out, indent=1) + "\n")
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
 
