@@ -11,9 +11,11 @@ accessors, so tracing can never change a result.
 A recorder built with ``sink=`` (``traced_run`` and ``trace_interval`` pass
 theirs on) hands each event to it as the positional fields ``(step, kind,
 direction, interval_before, index, detail)`` the moment it happens, and
-keeps no list; ``events`` then stays empty.  The command line writes its
-traces this way, so memory stays flat however long the trace, and a run
-that fails has already written every event before the failure.
+keeps no list; ``events`` then stays empty, so memory stays flat however
+long the trace.  The command line's ``trace`` output does not go through a
+recorder: its writer has the same observer methods, words each event as
+the recorder does and writes its line at once, and the recorder is the
+reference its tests compare it against.
 
 Event kinds:
 
