@@ -9,11 +9,14 @@ what the checked accessors report when the window is off by one.
 The four hot loops prove their window once and then read the element list
 directly: ``insertion_sort_in_place`` for all of its windows at once, and
 ``merge_sorted``, ``dot_product`` and ``avg_vector`` over their inputs' full
-intervals.  They do so only when no observer is attached.  An observed run
-takes the checked ``get``/``set``/``swap`` loop (the fold, for the
-average), so traces and access counts see every step.  ``insert_step``,
-which takes its window from the caller, is always checked, so a bad window
-gets its precise diagnostic.
+intervals.  They do so only when no observer is attached.  The unobserved
+sort makes ``insert_step``'s comparisons and then shifts each run it passed
+with one slice assignment.  An observed run takes the checked
+``get``/``set``/``swap`` loop (the fold, for the average), so traces and
+access counts see every step, every adjacent swap of the sort included.
+``insert_step``, which takes its window from the caller, is always checked,
+so a bad window gets its precise diagnostic.  An unobserved interval sum
+adds the walk's indices with the builtin ``sum``.
 
 ``OPERATIONS`` is the one list of the operations the command line,
 ``traced_run`` and the selftest offer: adding an operation is adding a row.
@@ -23,9 +26,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from operator import add
 
-from .intervals import Interval, LEFT_TO_RIGHT, RIGHT_TO_LEFT, _fold
+from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
 from .vectors import Vector, vfold_lr, vfold_rl
 
 # insertion_sort_buggy (an out-of-bounds exhibit) and OPERATIONS are imported by name
@@ -52,7 +54,9 @@ def sum_interval_lr(low: int, high: int) -> int:
 
 
 def _sum_interval(low: int, high: int, direction: str, observer=None) -> int:
-    return _fold(Interval(low, high), 0, add, observer, direction)
+    # the walk reports every peel and the stop before it returns; int addition is exact in any order
+    visit = None if observer is None else observer.interval_visit
+    return sum(_walk(low, high, direction, observer, visit))
 
 
 def avg_vector(vec: Vector) -> float:
@@ -152,7 +156,7 @@ def insert_step(vec: Vector, low: int, high: int) -> None:
 
 
 def insertion_sort_in_place(vec: Vector) -> None:
-    """Sort the vector non-decreasing in place by adjacent swaps.
+    """Sort the vector non-decreasing in place, stably, by straight insertion.
 
     Works suffix-first: element ``low`` is inserted into the already sorted
     ``low+1..n-1`` for ``low = n-1`` down to 0.  The recursion over the index
@@ -162,18 +166,28 @@ def insertion_sort_in_place(vec: Vector) -> None:
     ``[low..n-2]`` reads ``low..n-1``, inside the full interval, for every
     ``low``.  That one proof covers every window of an unobserved sort,
     which therefore reads the element list directly and validates nothing
-    per window.  With NaN elements the result is a permutation of the input
-    and its order is unspecified.
+    per window.  It makes the comparisons ``insert_step`` would, in the same
+    order, and then shifts the run the element passed left by one slice
+    assignment instead of one adjacent swap per step, so it leaves the same
+    objects in the same order.  An observed sort runs ``insert_step``, and a
+    trace reports every adjacent swap.  With NaN elements the result is a
+    permutation of the input and its order is unspecified.
     """
     n = len(vec)
     if vec.observer is None:
         items = vec._items
         for low in range(n - 1, -1, -1):
-            # insert_step(vec, low, n - 2) on the element list
-            for i in range(low, n - 1):
-                if items[i] <= items[i + 1]:
+            # insert_step(vec, low, n - 2)'s comparisons: the element it sinks is x at every step
+            x = items[low]
+            for p in range(low + 1, n):
+                if x <= items[p]:
+                    p -= 1
                     break
-                items[i], items[i + 1] = items[i + 1], items[i]
+            else:
+                p = n - 1
+            if p != low:  # x passed items[low+1..p]: shift them left once, then place x
+                items[low:p] = items[low + 1:p + 1]
+                items[p] = x
         return
     for low in range(n - 1, -1, -1):
         insert_step(vec, low, n - 2)

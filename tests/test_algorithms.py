@@ -1,21 +1,31 @@
 """Sums, average, dot product, merge and insertion sort against independent oracles."""
 
 import random
+from operator import add
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vecintervals import (
     EmptyVectorError,
+    Interval,
+    LEFT_TO_RIGHT,
     LengthMismatchError,
     OutOfBoundsError,
+    RIGHT_TO_LEFT,
+    TraceRecorder,
     Vector,
     avg_vector,
     dot_product,
+    fold_lr,
+    fold_rl,
     insert_step,
     insertion_sort_in_place,
     merge_sorted,
     sum_interval_lr,
     sum_interval_rl,
+    traced_run,
 )
 from vecintervals.algorithms import insertion_sort_buggy
 
@@ -40,6 +50,23 @@ def test_sum_interval_matches_naive_oracle_randomized():
         expected = naive_sum(low, high)
         assert sum_interval_rl(low, high) == expected
         assert sum_interval_lr(low, high) == expected
+
+
+@given(st.sampled_from([-10**20, -2**63, 2**63, 10**20]), st.integers(-40, 40),
+       st.integers(-3, 40))
+def test_sum_interval_is_exact_past_64_bits(centre, offset, length):
+    low = centre + offset
+    high = low + length - 1  # empty when length <= 0
+    expected = (low + high) * (high - low + 1) // 2 if length > 0 else 0
+    assert sum_interval_rl(low, high) == expected
+    assert sum_interval_lr(low, high) == expected
+    # a traced sum reports the walk of the interval fold, with the same result
+    for direction, fold in ((RIGHT_TO_LEFT, fold_rl), (LEFT_TO_RIGHT, fold_lr)):
+        recorder = TraceRecorder()
+        assert fold(Interval(low, high), 0, add, observer=recorder) == expected
+        outcome = traced_run("sum", low=low, high=high, direction=direction)
+        assert outcome.ok and outcome.result == expected
+        assert outcome.events == recorder.events
 
 
 # -- average -------------------------------------------------------------

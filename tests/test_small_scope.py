@@ -17,6 +17,12 @@ Scope: every vector of length 0..6 over ``{0, 1, 2}`` (ties included), every
 pair of vectors up to length 3 and of sorted vectors up to length 4, each
 vector paired with itself and with its reverse, and every ``insert_step``
 window with ``low`` in ``-2..n+1`` and ``high`` in ``-3..n+1``.
+
+Comparing with ``==`` over ``{0, 1, 2}`` cannot tell equal elements apart, so
+the unobserved sort is also checked by object identity on vectors drawn from
+NaN, signed zeros, infinities and ints equal to floats: it must make the same
+comparisons as the observed sort, so it leaves the same objects in the same
+order, and it must keep equal elements in their input order.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vecintervals.algorithms import OPERATIONS, insert_step
+from vecintervals.algorithms import OPERATIONS, insert_step, insertion_sort_in_place
 from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from vecintervals.vectors import (
     IntervalConstraintError,
@@ -44,6 +52,8 @@ PAIRS = sorted(
     | {(tuple(v), tuple(reversed(v))) for v in VECTORS}
 )
 CORRECT = [name for name, op in OPERATIONS.items() if op.arity and name != "insort_buggy"]
+# every comparison outcome a float sort can meet: unordered, equal but distinct, int against float
+TRICKY = (float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 1, 1.0, 2, -1.5)
 
 
 class NoOpObserver:
@@ -148,6 +158,26 @@ def test_insert_step_agrees_on_every_window():
                 continue
             # a window whose reads [low..high+1] validate cannot go out of bounds
             assert failure is None, (xs, low, high, failure)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(TRICKY), max_size=12))
+def test_unobserved_sort_makes_the_observed_comparisons(drawn):
+    # a fresh object per float, so equal floats are told apart by identity (small ints are shared)
+    xs = [x * 1.0 if isinstance(x, float) else x for x in drawn]
+    plain, checked = Vector(xs), Vector(xs)
+    checked.observer = NoOpObserver()
+    insertion_sort_in_place(plain)
+    insertion_sort_in_place(checked)
+    assert [id(x) for x in plain.to_list()] == [id(x) for x in checked.to_list()], drawn
+    # the input position of each output element; a shared int takes its earliest unused position
+    unused = {}
+    for k, x in enumerate(xs):
+        unused.setdefault(id(x), []).append(k)
+    rank = {unused[id(x)].pop(0): r for r, x in enumerate(plain.to_list())}
+    for i, j in product(range(len(xs)), repeat=2):
+        if i < j and xs[i] == xs[j]:
+            assert rank[i] < rank[j], (drawn, i, j)
 
 
 @pytest.mark.parametrize("name", [name for name, op in OPERATIONS.items() if op.arity == 2])
