@@ -28,7 +28,7 @@ order, and it must keep equal elements in their input order.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -175,8 +175,8 @@ def test_unobserved_sort_makes_the_observed_comparisons(drawn):
     for k, x in enumerate(xs):
         unused.setdefault(id(x), []).append(k)
     rank = {unused[id(x)].pop(0): r for r, x in enumerate(plain.to_list())}
-    for i, j in product(range(len(xs)), repeat=2):
-        if i < j and xs[i] == xs[j]:
+    for i, j in combinations(range(len(xs)), 2):
+        if xs[i] == xs[j]:
             assert rank[i] < rank[j], (drawn, i, j)
 
 
