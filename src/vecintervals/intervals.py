@@ -96,13 +96,17 @@ class Interval(_Value):
         """Peel off the highest index, or None when the interval is empty."""
         if self.is_empty():
             return None
-        return Step(self.high, Interval(self.low, self.high - 1))
+        return Step(self.high, self._peeled(self.low, self.high - 1))
 
     def split_low(self) -> Step | None:
         """Peel off the lowest index, or None when the interval is empty."""
         if self.is_empty():
             return None
-        return Step(self.low, Interval(self.low + 1, self.high))
+        return Step(self.low, self._peeled(self.low + 1, self.high))
+
+    def _peeled(self, low: int, high: int) -> Interval:
+        """What is left after one peel: ``[low..high]``, of the kind ``self`` is."""
+        return Interval(low, high)
 
 
 class Step(_Value):

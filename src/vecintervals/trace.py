@@ -12,10 +12,11 @@ A recorder built with ``sink=`` (``traced_run`` and ``trace_interval`` pass
 theirs on) hands each event to it as the positional fields ``(step, kind,
 direction, interval_before, index, detail)`` the moment it happens, and
 keeps no list; ``events`` then stays empty, so memory stays flat however
-long the trace.  The command line's ``trace`` output does not go through a
-recorder: its writer has the same observer methods, words each event as
-the recorder does and writes its line at once, and the recorder is the
-reference its tests compare it against.
+long the trace.  The command line's ``trace`` output is such a recorder,
+whose sink writes each line at once; only checked reads and swaps, nearly
+every event of a traced run, are worded and written in the writer's own
+two methods, and the recorder is the reference its tests compare them
+against.
 
 Event kinds:
 

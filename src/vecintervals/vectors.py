@@ -126,8 +126,8 @@ class VectorInterval(Interval):
     naming the offending bound.  The rule admits every sub-range of valid
     indices plus the empty shapes that index walks shrink to (``high == low -
     1`` down to ``[vec_len..vec_len-1]`` and ``[0..-1]``), and nothing else.
-    Inherits all interval operations; peeling a validated interval yields
-    bounds that still satisfy the rule.
+    Inherits all interval operations; peeling a validated interval leaves a
+    ``VectorInterval`` for the same length, as the bounds still satisfy the rule.
     """
 
     __slots__ = ("vec_len",)
@@ -142,6 +142,9 @@ class VectorInterval(Interval):
         _set_low(self, low)
         _set_high(self, high)
         _set_vec_len(self, vec_len)
+
+    def _peeled(self, low: int, high: int) -> VectorInterval:
+        return VectorInterval(low, high, self.vec_len)
 
 
 _set_low, _set_high, _set_vec_len = _slot_setters(VectorInterval)

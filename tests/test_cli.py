@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -452,10 +454,33 @@ def test_machine_trace_event_is_the_encoders_record(step, call):
     assert json.loads(line) == record
 
 
-def test_trace_writer_has_the_recorders_observer_methods():
-    methods = {name for name, value in vars(cli._TraceWriter).items()
-               if callable(value) and not name.startswith("_")}
-    assert methods == set(OBSERVER_METHODS) and len(methods) == 7
+def test_trace_writer_is_a_recorder_that_writes_only_the_hot_kinds_itself():
+    # the five rare kinds are worded once, by the recorder; checked reads and swaps,
+    # nearly every event of a traced run, are written inline
+    assert issubclass(cli._TraceWriter, TraceRecorder) and len(OBSERVER_METHODS) == 7
+    assert set(OBSERVER_METHODS) & set(vars(cli._TraceWriter)) == {
+        "element_read", "elements_swapped"}
+
+
+@pytest.mark.parametrize("argv", [["trace", "insort", "--a", "3,1,2"],
+                                  ["trace", "sum", "--low", "1", "--high", "3", "--machine"]])
+def test_trace_writer_is_freed_without_the_cycle_collector(monkeypatch, capsys, argv):
+    # a writer that referred to itself (a bound method as its sink) would outlive the
+    # run until the cycle collector ran
+    refs = []
+
+    class Writer(cli._TraceWriter):
+        def __init__(self, machine):
+            super().__init__(machine)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "_TraceWriter", Writer)
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 # every method, in and out of bounds: the CLI never reaches an out-of-bounds write or

@@ -14,7 +14,9 @@ the events written before the result: the exit code, stderr and the result
 line agree, and accepted results match ``tests/oracles.py`` exactly.  The
 events themselves must be those ``traced_run`` records on the same inputs,
 rendered as plain lines or as 7-key machine records: the CLI attaches its
-own recorder, and ``traced_run`` is its reference.
+own trace writer, and ``traced_run`` is its reference.  ``trace interval``'s
+lines must likewise be ``trace_interval``'s events on the same bounds, in
+both directions and both modes.
 Vectors are written as ``--a=...``, since argparse takes a value such as
 ``-1e+16`` after a bare ``--a`` for an option.
 """
@@ -33,7 +35,7 @@ from oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
 from vecintervals.algorithms import OPERATIONS
 from vecintervals.cli import main
 from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
-from vecintervals.trace import traced_run
+from vecintervals.trace import trace_interval, traced_run
 from vecintervals.vectors import Vector
 
 TMP = "<tmp>"
@@ -127,6 +129,18 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_written(lines: list[str], events, machine: bool) -> None:
+    """``lines`` are ``events`` as the CLI writes them: 7-key machine records or plain lines."""
+    lines = [line.rstrip("\n") for line in lines]
+    if machine:
+        assert [json.loads(line) for line in lines] == [
+            {"kind": e.kind, "step": e.step, "direction": e.direction,
+             "low": e.interval_before[0], "high": e.interval_before[1], "index": e.index,
+             "detail": e.detail} for e in events]
+    else:
+        assert lines == [f"{e.step:4d}  {e.kind:<9}  {e.detail}" for e in events]
+
+
 # ints up to 10**20 and any finite float; half the vectors hold only ints
 ints = st.integers(-10**20, 10**20)
 elements = ints | st.floats(allow_nan=False, allow_infinity=False)
@@ -187,14 +201,26 @@ def test_traced_and_untraced_runs_agree(operation):
         # a failed run writes its events and no result; an accepted one ends with its result
         lines = traced_out.splitlines(keepends=True)
         assert out == (lines[-1] if code == 0 else "")
-        events = [line.rstrip("\n") for line in (lines[:-1] if code == 0 else lines)]
-        if mode:
-            assert [json.loads(line) for line in events] == [
-                {"kind": e.kind, "step": e.step, "direction": e.direction,
-                 "low": e.interval_before[0], "high": e.interval_before[1], "index": e.index,
-                 "detail": e.detail} for e in reference.events]
-        else:
-            assert events == [f"{e.step:4d}  {e.kind:<9}  {e.detail}" for e in reference.events]
+        _assert_written(lines[:-1] if code == 0 else lines, reference.events, bool(mode))
     if code == 0:
         expected = _oracle(name, inputs)
         assert expected is None or json.loads(out) == {"kind": "result", "value": expected}
+
+
+# bounds anywhere up to 10**20, or within 40 of 0 or of either limit
+bounds = ints | st.sampled_from([-10**20, 0, 10**20]).flatmap(
+    lambda c: st.integers(c - 40, c + 40))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(low=bounds, length=st.integers(-3, 40),
+       direction=st.sampled_from([("rl", RIGHT_TO_LEFT), ("lr", LEFT_TO_RIGHT)]))
+def test_trace_interval_writes_the_librarys_chain(low, length, direction):
+    # a length of 0 or less is an empty interval, whose chain is its one stop
+    high = low + length - 1
+    flag, name = direction
+    for mode in ([], ["--machine"]):
+        code, out, err = _run(["trace", "interval", f"--low={low}", f"--high={high}",
+                               f"--direction={flag}", *mode])
+        assert (code, err) == (0, "")
+        _assert_written(out.splitlines(), trace_interval(low, high, name), bool(mode))

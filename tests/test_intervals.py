@@ -14,6 +14,7 @@ from vecintervals import (
     Interval,
     Step,
     Vector,
+    VectorInterval,
     fold_lr,
     fold_rl,
     sum_interval_rl,
@@ -207,6 +208,25 @@ def test_fold_lr_satisfies_its_recursion(low, high):
     else:
         rest = iv.split_low().rest
         assert fold_lr(iv, "base", pair) == (iv.low, fold_lr(rest, "base", pair))
+
+
+# a vector folds like its interval: the rest of a peel is validated against the same
+# vector, so a recursion written by the paper's recipe needs no second check
+@pytest.mark.parametrize("vfold, peel", [(vfold_rl, VectorInterval.split_high),
+                                         (vfold_lr, VectorInterval.split_low)])
+@given(elements=st.lists(st.integers(), max_size=8), data=st.data())
+def test_vector_folds_satisfy_their_recursion(vfold, peel, elements, data):
+    # vfold(v, iv, b, f) == f(v[i], i, vfold(v, rest, b, f)) with i, rest = peel(iv)
+    triple = lambda elem, i, acc: (elem, i, acc)
+    low = data.draw(st.integers(0, len(elements)))
+    iv = VectorInterval(low, data.draw(st.integers(low - 1, len(elements) - 1)), len(elements))
+    vec = Vector(elements)
+    if iv.is_empty():
+        assert vfold(vec, iv, "base", triple) == "base"
+    else:
+        step = peel(iv)
+        i, rest = step.index, step.rest
+        assert vfold(vec, iv, "base", triple) == (elements[i], i, vfold(vec, rest, "base", triple))
 
 
 def test_combine_invocation_orders_are_exact_reverses():

@@ -25,8 +25,8 @@ def test_package_has_no_assert_statements():
 def test_cli_encodes_json_strictly_in_one_place():
     # allow_nan=False makes the encoder raise instead of writing NaN or Infinity, which
     # are not JSON; one encoder and one call site mean every machine record gets that check.
-    # The trace writer's machine lines write their int fields and fixed names by template
-    # and pass their one free-text field, detail, through that encoder's helper
+    # The trace's machine lines write their int fields and fixed names by template and
+    # pass their one free-text field, detail, through that encoder's helper
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     names = [getattr(node.func, "attr", getattr(node.func, "id", None)) for node in calls]
@@ -42,20 +42,21 @@ def test_cli_encodes_json_strictly_in_one_place():
                 for stmt in nodes for node in ast.walk(stmt)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_json"]
 
-    writer = next(node for node in tree.body
-                  if isinstance(node, ast.ClassDef) and node.name == "_TraceWriter")
-    # every method that writes a line picks the mode once: its machine branch encodes
-    # detail and nothing else, its plain branch encodes nothing
+    writer, sink = (next(node for node in tree.body
+                         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
+                    for name in ("_TraceWriter", "_line_sink"))
+    # the sink, and every writer method that writes a line itself, picks the mode once:
+    # its machine branch encodes detail and nothing else, its plain branch encodes nothing
     writing = [method for method in writer.body if isinstance(method, ast.FunctionDef)
                and any(getattr(node, "attr", None) == "_write" and isinstance(node.ctx, ast.Load)
                        for node in ast.walk(method))]
     assert len(writing) >= 2
-    for method in writing:
-        [mode] = [node for node in ast.walk(method) if isinstance(node, ast.If)
-                  and getattr(node.test, "attr", None) == "_machine"]
-        assert helper_args(mode.body) == [["detail"]], method.name
-        assert helper_args(mode.orelse) == [], method.name
-    assert len(helper_args([writer])) == len(writing)
+    for scope in [*writing, sink]:
+        [mode] = [node for node in ast.walk(scope) if isinstance(node, ast.If) and getattr(
+            node.test, "attr", getattr(node.test, "id", None)) in ("_machine", "machine")]
+        assert helper_args(mode.body) == [["detail"]], scope.name
+        assert helper_args(mode.orelse) == [], scope.name
+    assert len(helper_args([writer, sink])) == len(writing) + 1
 
 
 def test_each_checked_access_reports_to_its_observer_once():

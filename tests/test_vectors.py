@@ -173,8 +173,25 @@ def test_validated_interval_admits_interval_operations():
     iv = VectorInterval(0, 3, 4)
     assert iv.length() == 4
     assert 2 in iv
-    assert iv.split_high() == Step(3, Interval(0, 2))
-    assert iv.split_low() == Step(0, Interval(1, 3))
+    assert iv.split_high() == Step(3, VectorInterval(0, 2, 4))
+    assert iv.split_low() == Step(0, VectorInterval(1, 3, 4))
+
+
+def test_peeling_a_validated_interval_leaves_a_validated_interval():
+    # every VectorInterval up to length 6, peeled either way down to empty: each rest
+    # is the VectorInterval a checked construction of its bounds gives
+    for n in range(7):
+        for low in range(n + 1):
+            for high in range(low - 1, n):
+                for peel in (VectorInterval.split_high, VectorInterval.split_low):
+                    iv = VectorInterval(low, high, n)
+                    while (step := peel(iv)) is not None:
+                        rest = step.rest
+                        assert type(rest) is VectorInterval
+                        assert rest == VectorInterval(rest.low, rest.high, n)
+                        assert step.index not in rest and rest.length() == iv.length() - 1
+                        iv = rest
+                    assert iv.is_empty()
 
 
 def test_vector_interval_is_immutable():
