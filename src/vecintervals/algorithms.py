@@ -10,8 +10,11 @@ The four hot loops prove their window once and then read the element list
 directly: ``insertion_sort_in_place`` for all of its windows at once, and
 ``merge_sorted``, ``dot_product`` and ``avg_vector`` over their inputs' full
 intervals.  They do so only when no observer is attached.  The unobserved
-sort makes ``insert_step``'s comparisons and then shifts each run it passed
-with one slice assignment.  An observed run takes the checked
+sort finds where each element goes and then shifts the run it passed with
+one slice assignment.  On elements that are all exact ``int`` or ``float``
+and not NaN it finds the place by bisecting the sorted suffix (binary
+insertion); on any other elements it makes ``insert_step``'s comparisons
+(straight insertion).  An observed run takes the checked
 ``get``/``set``/``swap`` loop (the fold, for the average), so traces and
 access counts see every step, every adjacent swap of the sort included.
 ``insert_step``, which takes its window from the caller, is always checked,
@@ -24,8 +27,10 @@ adds the walk's indices with the builtin ``sum``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable
+from operator import ne
 
 from .intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT, _walk
 from .vectors import Vector, vfold_lr, vfold_rl
@@ -33,6 +38,10 @@ from .vectors import Vector, vfold_lr, vfold_rl
 # insertion_sort_buggy (an out-of-bounds exhibit) and OPERATIONS are imported by name
 __all__ = ["EmptyVectorError", "LengthMismatchError", "avg_vector", "dot_product", "insert_step",
            "insertion_sort_in_place", "merge_sorted", "sum_interval_lr", "sum_interval_rl"]
+
+
+# the exact types whose elements, NaN aside, Python compares in one total order (bool excluded)
+_INT_OR_FLOAT = frozenset((int, float))
 
 
 class EmptyVectorError(ValueError):
@@ -156,7 +165,7 @@ def insert_step(vec: Vector, low: int, high: int) -> None:
 
 
 def insertion_sort_in_place(vec: Vector) -> None:
-    """Sort the vector non-decreasing in place, stably, by straight insertion.
+    """Sort the vector non-decreasing in place, stably, by insertion.
 
     Works suffix-first: element ``low`` is inserted into the already sorted
     ``low+1..n-1`` for ``low = n-1`` down to 0.  The recursion over the index
@@ -166,28 +175,40 @@ def insertion_sort_in_place(vec: Vector) -> None:
     ``[low..n-2]`` reads ``low..n-1``, inside the full interval, for every
     ``low``.  That one proof covers every window of an unobserved sort,
     which therefore reads the element list directly and validates nothing
-    per window.  It makes the comparisons ``insert_step`` would, in the same
-    order, and then shifts the run the element passed left by one slice
-    assignment instead of one adjacent swap per step, so it leaves the same
-    objects in the same order.  An observed sort runs ``insert_step``, and a
-    trace reports every adjacent swap.  With NaN elements the result is a
+    per window.  It shifts the run the element passed left by one slice
+    assignment instead of one adjacent swap per step.  When every element's
+    exact type is ``int`` or ``float`` and none is NaN, the order is total,
+    so once the element is found larger than its right neighbour it finds
+    its place by bisecting ``low+2..n-1``: the place ``insert_step`` stops
+    at.  On any other elements (a NaN, a ``bool``, a ``Fraction``, a
+    ``float`` subclass) it makes the comparisons ``insert_step`` would, in
+    the same order.  Either way it leaves the same objects in the same order
+    as ``insert_step``.  An observed sort runs ``insert_step``, and a trace
+    reports every adjacent swap.  With NaN elements the result is a
     permutation of the input and its order is unspecified.
     """
     n = len(vec)
     if vec.observer is None:
         items = vec._items
-        for low in range(n - 1, -1, -1):
-            # insert_step(vec, low, n - 2)'s comparisons: the element it sinks is x at every step
+        # ints and floats without NaN are totally ordered: bisection finds where the scan stops
+        total_order = _INT_OR_FLOAT.issuperset(map(type, items)) and not any(map(ne, items, items))
+        for low in range(n - 2, -1, -1):
+            # insert_step(vec, low, n - 2)'s first comparison; x is the element it sinks
             x = items[low]
-            for p in range(low + 1, n):
-                if x <= items[p]:
-                    p -= 1
-                    break
-            else:
-                p = n - 1
-            if p != low:  # x passed items[low+1..p]: shift them left once, then place x
-                items[low:p] = items[low + 1:p + 1]
-                items[p] = x
+            if x <= items[low + 1]:
+                continue
+            if total_order:
+                p = bisect_left(items, x, low + 2, n) - 1
+            else:  # insert_step's further comparisons, in its order
+                for p in range(low + 2, n):
+                    if x <= items[p]:
+                        p -= 1
+                        break
+                else:
+                    p = n - 1
+            # x passed items[low+1..p]: shift them left once, then place x
+            items[low:p] = items[low + 1:p + 1]
+            items[p] = x
         return
     for low in range(n - 1, -1, -1):
         insert_step(vec, low, n - 2)

@@ -1,6 +1,7 @@
 """Sums, average, dot product, merge and insertion sort against independent oracles."""
 
 import random
+from fractions import Fraction
 from operator import add
 
 import pytest
@@ -229,6 +230,14 @@ def test_insertion_sort_matches_oracle_randomized():
         vec = Vector(items)
         insertion_sort_in_place(vec)
         assert vec.to_list() == sort_oracle(items)
+
+
+def test_insertion_sort_of_reverse_sorted_fractions_matches_oracle():
+    # Fraction elements take the scan, so this is its one long run: about 45,000 comparisons
+    items = [Fraction(k, 3) for k in range(300, 0, -1)]
+    vec = Vector(items)
+    insertion_sort_in_place(vec)
+    assert vec.to_list() == sort_oracle(items)
 
 
 def test_insertion_sort_is_idempotent():

@@ -22,18 +22,29 @@ Comparing with ``==`` over ``{0, 1, 2}`` cannot tell equal elements apart, so
 the unobserved sort is also checked by object identity on vectors drawn from
 NaN, signed zeros, infinities and ints equal to floats: it must make the same
 comparisons as the observed sort, so it leaves the same objects in the same
-order, and it must keep equal elements in their input order.
+order, and it must keep equal elements in their input order.  The
+unobserved sort bisects exact ints and floats without NaN, and bisection
+barely recurses on 12 elements, so the identity check also runs on such
+vectors of up to 300 elements with many ties.  Every other input must keep
+the scan: a logging ``float`` subclass sees exactly the observed sort's
+comparisons, and a ``bool``, a NaN, a ``Fraction`` or a ``Decimal`` make no
+bisection.
 """
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_left
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecintervals import algorithms
 from vecintervals.algorithms import OPERATIONS, insert_step, insertion_sort_in_place
 from vecintervals.intervals import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from vecintervals.vectors import (
@@ -54,6 +65,9 @@ PAIRS = sorted(
 CORRECT = [name for name, op in OPERATIONS.items() if op.arity and name != "insort_buggy"]
 # every comparison outcome a float sort can meet: unordered, equal but distinct, int against float
 TRICKY = (float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 1, 1.0, 2, -1.5)
+# many ties, across types and at the edges of float precision and range, none of them NaN
+TIES = (0, 0.0, -0.0, 1, 1.0, float("inf"), float("-inf"), 2**53, 2.0**53, 2**53 + 1,
+        10**400, -10**400)
 
 
 class NoOpObserver:
@@ -178,6 +192,84 @@ def test_unobserved_sort_makes_the_observed_comparisons(drawn):
     for i, j in combinations(range(len(xs)), 2):
         if xs[i] == xs[j]:
             assert rank[i] < rank[j], (drawn, i, j)
+
+
+def sorted_both_ways(xs):
+    """``xs`` sorted unobserved and with a no-op observer: two lists of the same objects."""
+    plain, checked = Vector(xs), Vector(xs)
+    checked.observer = NoOpObserver()
+    insertion_sort_in_place(plain)
+    insertion_sort_in_place(checked)
+    return plain.to_list(), checked.to_list()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.lists(st.sampled_from(TIES), min_size=n, max_size=n)))
+def test_unobserved_sort_keeps_the_observed_order_at_depth(drawn):
+    # a fresh object per element (small ints are shared), so equal elements are told apart
+    xs = [x * 1.0 if isinstance(x, float) else x + 0 for x in drawn]
+    plain, checked = sorted_both_ways(xs)
+    assert [id(x) for x in plain] == [id(x) for x in checked], drawn
+
+
+class LoggedFloat(float):
+    """A float whose ``<=`` and ``<`` append (operator, id(self), id(other)) to ``log``."""
+
+    log: list = []
+
+    def __le__(self, other):
+        LoggedFloat.log.append(("<=", id(self), id(other)))
+        return float.__le__(self, other)
+
+    def __lt__(self, other):
+        LoggedFloat.log.append(("<", id(self), id(other)))
+        return float.__lt__(self, other)
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    """The ``(low, high)`` bounds of every bisection the sort makes while the test runs."""
+    calls = []
+
+    def spy(items, x, low, high):
+        calls.append((low, high))
+        return bisect_left(items, x, low, high)
+
+    monkeypatch.setattr(algorithms, "bisect_left", spy)
+    return calls
+
+
+def test_float_subclass_is_sorted_with_the_observed_comparisons(bisections):
+    rng = random.Random(25)
+    for n in range(2, 40):
+        xs = [LoggedFloat(rng.choice((0.0, -0.0, 1.0, 2.5, -1.5, float("inf")))) for _ in range(n)]
+        logs, outputs = [], []
+        for observer in (None, NoOpObserver()):
+            vec = Vector(xs)
+            vec.observer = observer
+            LoggedFloat.log = []
+            insertion_sort_in_place(vec)
+            logs.append(LoggedFloat.log)
+            outputs.append([id(x) for x in vec.to_list()])
+        assert logs[0] == logs[1], xs
+        assert outputs[0] == outputs[1], xs
+    assert bisections == []
+
+
+@pytest.mark.parametrize("xs, bisected", [
+    ([3, 2.0, 1, 0.5], True),
+    ([3, True, 1, 0.5], False),
+    ([float("nan"), 3, 2.0, 1], False),
+    ([3, 2.0, 1, float("nan")], False),
+    ([Fraction(3), 2.0, 1, 0.5], False),
+    ([Decimal(3), 2, 1, 0], False),
+    ([3.0, LoggedFloat(2.0), 1.0, 0.5], False),
+], ids=["int-float", "bool", "nan-first", "nan-last", "fraction", "decimal", "float-subclass"])
+def test_only_exact_ints_and_floats_without_nan_are_bisected(xs, bisected, bisections):
+    plain, checked = sorted_both_ways(xs)
+    assert [id(x) for x in plain] == [id(x) for x in checked]
+    assert bool(bisections) is bisected, bisections
 
 
 @pytest.mark.parametrize("name", [name for name, op in OPERATIONS.items() if op.arity == 2])
