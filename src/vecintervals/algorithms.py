@@ -10,8 +10,9 @@ The four hot loops prove their window once and then read the element list
 directly: ``insertion_sort_in_place`` for all of its windows at once, and
 ``merge_sorted``, ``dot_product`` and ``avg_vector`` over their inputs' full
 intervals.  They do so only when no observer is attached.  The unobserved
-sort finds where each element goes and then shifts the run it passed with
-one slice assignment.  On elements that are all exact ``int`` or ``float``
+sort finds where each element goes and then moves it there with one ``del``
+and one ``list.insert``, which shift the run it passed inside the list's own
+buffer.  On elements that are all exact ``int`` or ``float``
 and not NaN it finds the place by bisecting the sorted suffix (binary
 insertion); on any other elements it makes ``insert_step``'s comparisons
 (straight insertion).  An observed run takes the checked
@@ -175,8 +176,13 @@ def insertion_sort_in_place(vec: Vector) -> None:
     ``[low..n-2]`` reads ``low..n-1``, inside the full interval, for every
     ``low``.  That one proof covers every window of an unobserved sort,
     which therefore reads the element list directly and validates nothing
-    per window.  It shifts the run the element passed left by one slice
-    assignment instead of one adjacent swap per step.  When every element's
+    per window.  It moves the element with ``del items[low]`` and
+    ``items.insert(p, x)`` instead of one adjacent swap per step: ``low`` is
+    in ``0..n-2``, so the ``del`` is in range; the list then holds ``n-1``
+    elements and ``p`` is in ``low+1..n-1``, so the insert is at most an
+    append; ``x`` ends at ``p`` and the run it passed at ``low..p-1``.  The
+    list's capacity stays at least ``n`` throughout, so its buffer is never
+    reallocated and the move allocates nothing.  When every element's
     exact type is ``int`` or ``float`` and none is NaN, the order is total,
     so once the element is found larger than its right neighbour it finds
     its place by bisecting ``low+2..n-1``: the place ``insert_step`` stops
@@ -206,9 +212,9 @@ def insertion_sort_in_place(vec: Vector) -> None:
                         break
                 else:
                     p = n - 1
-            # x passed items[low+1..p]: shift them left once, then place x
-            items[low:p] = items[low + 1:p + 1]
-            items[p] = x
+            # x passed items[low+1..p]: take x out, which shifts them left, and put it back at p
+            del items[low]
+            items.insert(p, x)
         return
     for low in range(n - 1, -1, -1):
         insert_step(vec, low, n - 2)
