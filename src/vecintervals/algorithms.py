@@ -12,12 +12,12 @@ directly: ``insertion_sort_in_place`` for all of its windows at once, and
 intervals.  They do so only when no observer is attached.  The unobserved
 sort finds where each element goes and then moves it there with one ``del``
 and one ``list.insert``, which shift the run it passed inside the list's own
-buffer.  On elements that are all exact ``int`` or ``float``
-and not NaN it finds the place by bisecting the sorted suffix (binary
-insertion); on any other elements it makes ``insert_step``'s comparisons
-(straight insertion).  An observed run takes the checked
-``get``/``set``/``swap`` loop (the fold, for the average), so traces and
-access counts see every step, every adjacent swap of the sort included.
+buffer.  On elements that are all exact ``int`` or ``float`` and not NaN it
+finds the place by bisecting the sorted suffix (binary insertion); on any
+other elements it makes ``insert_step``'s comparisons (straight insertion).
+An observed run takes the checked ``get``/``set``/``swap`` loop (the fold,
+for the average), so traces and access counts see every step, every
+adjacent swap of the sort included.
 ``insert_step``, which takes its window from the caller, is always checked,
 so a bad window gets its precise diagnostic.  An unobserved interval sum
 adds the walk's indices with the builtin ``sum``.
@@ -181,17 +181,20 @@ def insertion_sort_in_place(vec: Vector) -> None:
     in ``0..n-2``, so the ``del`` is in range; the list then holds ``n-1``
     elements and ``p`` is in ``low+1..n-1``, so the insert is at most an
     append; ``x`` ends at ``p`` and the run it passed at ``low..p-1``.  The
-    list's capacity stays at least ``n`` throughout, so its buffer is never
-    reallocated and the move allocates nothing.  When every element's
-    exact type is ``int`` or ``float`` and none is NaN, the order is total,
-    so once the element is found larger than its right neighbour it finds
-    its place by bisecting ``low+2..n-1``: the place ``insert_step`` stops
-    at.  On any other elements (a NaN, a ``bool``, a ``Fraction``, a
-    ``float`` subclass) it makes the comparisons ``insert_step`` would, in
-    the same order.  Either way it leaves the same objects in the same order
-    as ``insert_step``.  An observed sort runs ``insert_step``, and a trace
-    reports every adjacent swap.  With NaN elements the result is a
-    permutation of the input and its order is unspecified.
+    insert only refills the slot the ``del`` freed, and CPython resizes a
+    list's buffer only when it is full or would fall below half full, so
+    on a buffer of capacity ``n`` to ``2n - 1``, such as ``Vector`` makes
+    from a list, neither reallocates: the sort allocates nothing.  When
+    every element's exact type is ``int`` or ``float`` and none is NaN, the
+    order is total, so once the element is found larger than its right
+    neighbour it finds its place by bisecting ``low+2..n-1``: the place
+    ``insert_step`` stops at.  On any other elements (a NaN, a ``bool``, a
+    ``Fraction``, a ``float`` subclass) it makes the comparisons
+    ``insert_step`` would, in the same order.  Either way it leaves the same
+    objects in the same order as ``insert_step``.  An observed sort runs
+    ``insert_step``, and a trace reports every adjacent swap.  With NaN
+    elements the result is a permutation of the input and its order is
+    unspecified.
     """
     n = len(vec)
     if vec.observer is None:

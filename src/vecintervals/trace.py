@@ -5,8 +5,10 @@ install a ``TraceRecorder`` as a vector's ``observer`` and every checked
 access, mutation and fold visit lands in ``recorder.events`` as a
 ``TraceEvent``.  Untraced code pays one ``is not None`` test per checked
 access, or per call in the hot loops that skip the checks after proving
-their window, and the traced run takes the same steps through the checked
-accessors, so tracing can never change a result.
+their window.  A traced run goes through the checked accessors and need
+not take the untraced run's steps (the untraced sort bisects and moves each
+element at once, where the traced one swaps neighbours), but it gives the
+same result, so tracing can never change a result.
 
 A recorder built with ``sink=`` (``traced_run`` and ``trace_interval`` pass
 theirs on) hands each event to it as the positional fields ``(step, kind,

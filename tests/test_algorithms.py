@@ -1,6 +1,7 @@
 """Sums, average, dot product, merge and insertion sort against independent oracles."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import add
 
@@ -256,6 +257,26 @@ def test_insertion_sort_never_goes_out_of_bounds():
     for _ in range(300):
         vec = Vector([rng.randint(-50, 50) for _ in range(rng.randint(0, 60))])
         insertion_sort_in_place(vec)  # any OutOfBoundsError fails the test
+
+
+@pytest.mark.parametrize("items", [
+    list(range(2000, 0, -1)),
+    random.Random(1111).sample(range(2000), 2000),
+    random.Random(1212).choices(range(4), k=2000),
+], ids=["reversed", "random", "few-valued"])
+def test_unobserved_sort_allocates_no_buffer(items):
+    # each insertion moves its element inside the list's own buffer; a copy of
+    # the run it passed would hold up to 2000 pointers (16 KB)
+    vec = Vector(items)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        insertion_sort_in_place(vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.to_list() == sort_oracle(items)
+    assert peak - before < 1024
 
 
 # -- the deliberately broken sort -------------------------------------------

@@ -6,11 +6,10 @@ access; an operation with an observer on its inputs always goes through the
 checked accessors.  Running every operation on every input up to a small
 size both ways, and requiring the same result, the same final vector
 contents and the same failure (type, attempted index, vector length,
-operation name), shows that no unchecked read strays on any of those
-inputs: a stray one either reads a wrong element, which changes the result,
-or escapes as a bare ``IndexError``.  The observed run is the reference, so no second
-implementation is needed.  ``insert_step`` has no unchecked loop, so both
-of its runs are checked; over every window, that shows a window whose reads
+operation name), shows that the unchecked loops compute what the checked
+ones do.  The observed run is the reference, so no second implementation is
+needed.  ``insert_step`` has no unchecked loop, so both of its runs are
+checked; over every window, that shows a window whose reads
 ``[low..high+1]`` validate never raises.
 
 Scope: every vector of length 0..6 over ``{0, 1, 2}`` (ties included), every
@@ -29,6 +28,16 @@ vectors of up to 300 elements with many ties.  Every other input must keep
 the scan: a logging ``float`` subclass sees exactly the observed sort's
 comparisons, and a ``bool``, a NaN, a ``Fraction`` or a ``Decimal`` make no
 bisection.
+
+Equal results alone do not show that no unchecked access strays: a list
+wraps a negative index and ``list.insert`` clamps any position, so a stray
+access can touch the right element without raising, and an exact result
+then does not change.  A witness closes that hole.  Each element list, of
+the inputs and of a merge's result, is a ``list`` subclass that records
+every index, slice and insert position as written, on the small-scope
+inputs and the long ones above.  Each must lie in its list, none negative,
+and the sort's must lie in the window its docstring proves for the element
+it inserts.
 """
 
 from __future__ import annotations
@@ -68,6 +77,8 @@ TRICKY = (float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 1, 1.0, 2, -1.5)
 # many ties, across types and at the edges of float precision and range, none of them NaN
 TIES = (0, 0.0, -0.0, 1, 1.0, float("inf"), float("-inf"), 2**53, 2.0**53, 2**53 + 1,
         10**400, -10**400)
+# vectors of up to 300 of those ties, long enough for bisection to recurse
+DEEP = st.integers(0, 300).flatmap(lambda n: st.lists(st.sampled_from(TIES), min_size=n, max_size=n))
 
 
 class NoOpObserver:
@@ -204,8 +215,7 @@ def sorted_both_ways(xs):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(0, 300).flatmap(
-    lambda n: st.lists(st.sampled_from(TIES), min_size=n, max_size=n)))
+@given(DEEP)
 def test_unobserved_sort_keeps_the_observed_order_at_depth(drawn):
     # a fresh object per element (small ints are shared), so equal elements are told apart
     xs = [x * 1.0 if isinstance(x, float) else x + 0 for x in drawn]
@@ -293,3 +303,153 @@ def test_buggy_sort_fails_at_index_n():
             assert (result, final, failure) == (xs, xs, None)
         else:
             assert failure == (OutOfBoundsError, n, n, "get"), xs
+
+
+class Witness(list):
+    """A list that logs ``(operation, key, length)`` for every index, slice and insert position.
+
+    Iteration (``for x in items``, ``map``) bypasses these methods and needs no
+    check, since it cannot leave the list; CPython's ``bisect_left`` reads
+    through ``__getitem__``.
+    """
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(("get", key, len(self)))
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.log.append(("set", key, len(self)))
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.log.append(("del", key, len(self)))
+        super().__delitem__(key)
+
+    def insert(self, index, value):
+        self.log.append(("insert", index, len(self)))
+        super().insert(index, value)
+
+
+def inside(key, first, last):
+    """Whether an index is in ``first..last``, or a slice's bounds in ``first..last+1``, as written.
+
+    Lists wrap negative indices and ``list.insert`` clamps any position, so
+    a stray position need not raise: only its written value shows it.
+    """
+    if isinstance(key, slice):
+        return key.step is None and all(b is not None and first <= b <= last + 1
+                                        for b in (key.start, key.stop))
+    return first <= key <= last
+
+
+def witnessed(run, inputs):
+    """Every access ``run`` makes, unobserved, to the element lists of ``inputs`` and of its result.
+
+    Each list is a ``Witness`` (a merge's result through a patched
+    ``algorithms.Vector``).  The log also holds a ``("low", low)`` entry as
+    the sort's countdown hands out each ``low``, and ``("bisect", low,
+    high)`` and ``("bisected",)`` around each bisection.
+    """
+    log = []
+
+    def vector(elements, **kwargs):
+        vec = Vector(elements, **kwargs)
+        vec._items = Witness(vec._items, log)
+        return vec
+
+    def marked_range(*args):
+        # the sort's loop over low counts down; so does the dot product's, which no check reads
+        span = range(*args)
+        for value in span:
+            if span.step < 0:
+                log.append(("low", value))
+            yield value
+
+    def bisection(items, x, low, high):
+        log.append(("bisect", low, high))
+        place = bisect_left(items, x, low, high)
+        log.append(("bisected",))
+        return place
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithms, "Vector", vector)
+        patch.setattr(algorithms, "range", marked_range, raising=False)
+        patch.setattr(algorithms, "bisect_left", bisection)
+        try:
+            run(*[vector(xs) for xs in inputs])
+        except (ArithmeticError, ValueError):  # an empty average, unequal lengths, an overflow
+            pass
+    return log
+
+
+def strays(log):
+    """The accesses that name a position outside their list, or a negative one."""
+    accesses = [entry for entry in log if entry[0] in ("get", "set", "del", "insert")]
+    # a position one past the end is an append for insert, and out of range for the rest
+    return [(op, key, n) for op, key, n in accesses
+            if not inside(key, 0, n if op == "insert" else n - 1)]
+
+
+def sort_strays(log, n):
+    """The sort's accesses that leave the window proved for the element it is inserting.
+
+    While inserting ``low`` it reads only ``low..n-1``, bisects only
+    ``low+2..n-1``, deletes exactly at ``low`` and inserts at ``low+1..n-1``.
+    """
+    found, low, bisection = [], None, None
+    for entry in log:
+        op, key = entry[0], entry[1:]
+        if op == "low":
+            (low,) = key
+            continue
+        if op == "bisected":
+            bisection = None
+            continue
+        if op == "bisect":
+            bisection = key
+            ok = low + 2 <= key[0] and key[1] <= n
+        elif op == "get":
+            first, last = (bisection[0], bisection[1] - 1) if bisection else (low, n - 1)
+            ok = inside(key[0], first, last)
+        elif op == "del":
+            ok = key[0] == low
+        elif op == "insert":
+            ok = inside(key[0], low + 1, n - 1)
+        else:  # the sort moves elements only by del and insert
+            ok = False
+        if not ok:
+            found.append((low, entry))
+    return found
+
+
+def assert_witnessed_in_window(name, inputs):
+    log = witnessed(OPERATIONS[name].run, inputs)
+    assert strays(log) == [], (name, inputs)
+    if name == "insort":
+        assert sort_strays(log, len(inputs[0])) == [], inputs
+    return log
+
+
+# what each unobserved loop is seen doing on the small-scope inputs, so the witness is not blind
+WITNESSED = {"avg": set(), "dot": {"get"}, "merge": {"get", "set"},
+             "insort": {"get", "bisect", "del", "insert"}}
+
+
+@pytest.mark.parametrize("name", CORRECT)
+def test_unobserved_accesses_stay_in_their_window(name):
+    seen = set()
+    for inputs in _inputs(OPERATIONS[name].arity):
+        seen.update(entry[0] for entry in assert_witnessed_in_window(name, inputs))
+    assert seen >= WITNESSED[name], seen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(DEEP, st.lists(st.sampled_from(TRICKY), max_size=12)))
+def test_unobserved_accesses_stay_in_their_window_at_depth(drawn):
+    for name in CORRECT:
+        inputs = (drawn,) if OPERATIONS[name].arity == 1 else (drawn, drawn[::-1])
+        assert_witnessed_in_window(name, inputs)
