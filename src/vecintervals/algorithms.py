@@ -9,15 +9,14 @@ what the checked accessors report when the window is off by one.
 The four hot loops prove their window once and then read the element list
 directly: ``insertion_sort_in_place`` for all of its windows at once, and
 ``merge_sorted``, ``dot_product`` and ``avg_vector`` over their inputs' full
-intervals.  They do so only when no observer is attached.  The unobserved
-sort finds where each element goes and then moves it there with one ``del``
-and one ``list.insert``, which shift the run it passed inside the list's own
-buffer.  On elements that are all exact ``int`` or ``float`` and not NaN it
-finds the place by bisecting the sorted suffix (binary insertion); on any
-other elements it makes ``insert_step``'s comparisons (straight insertion).
-An observed run takes the checked ``get``/``set``/``swap`` loop (the fold,
-for the average), so traces and access counts see every step, every
-adjacent swap of the sort included.
+intervals.  They do so only when no observer is attached, and the sort only
+when every element is an exact ``int`` or ``float`` and none is NaN.  Such a
+sort finds where each element goes by bisecting the sorted suffix (binary
+insertion) and moves it there with one ``del`` and one ``list.insert``,
+which shift the run it passed inside the list's own buffer.  Every other
+sort runs ``insert_step``.  An observed run takes the checked
+``get``/``set``/``swap`` loop (the fold, for the average), so traces and
+access counts see every step, every adjacent swap of the sort included.
 ``insert_step``, which takes its window from the caller, is always checked,
 so a bad window gets its precise diagnostic.  An unobserved interval sum
 adds the walk's indices with the builtin ``sum``.
@@ -174,9 +173,13 @@ def insertion_sort_in_place(vec: Vector) -> None:
     the call stack.  Each insertion window is capped at ``n - 2``, keeping
     the right-neighbour reads of ``insert_step`` in bounds: window
     ``[low..n-2]`` reads ``low..n-1``, inside the full interval, for every
-    ``low``.  That one proof covers every window of an unobserved sort,
+    ``low``.  That one proof covers every window of an unobserved sort
+    whose elements all have the exact type ``int`` or ``float``, none NaN,
     which therefore reads the element list directly and validates nothing
-    per window.  It moves the element with ``del items[low]`` and
+    per window.  Their order is total, so once the element is found larger
+    than its right neighbour, it finds its place by bisecting
+    ``low+2..n-1``: the place ``insert_step`` stops at.  It moves the
+    element with ``del items[low]`` and
     ``items.insert(p, x)`` instead of one adjacent swap per step: ``low`` is
     in ``0..n-2``, so the ``del`` is in range; the list then holds ``n-1``
     elements and ``p`` is in ``low+1..n-1``, so the insert is at most an
@@ -184,37 +187,25 @@ def insertion_sort_in_place(vec: Vector) -> None:
     insert only refills the slot the ``del`` freed, and CPython resizes a
     list's buffer only when it is full or would fall below half full, so
     on a buffer of capacity ``n`` to ``2n - 1``, such as ``Vector`` makes
-    from a list, neither reallocates: the sort allocates nothing.  When
-    every element's exact type is ``int`` or ``float`` and none is NaN, the
-    order is total, so once the element is found larger than its right
-    neighbour it finds its place by bisecting ``low+2..n-1``: the place
-    ``insert_step`` stops at.  On any other elements (a NaN, a ``bool``, a
-    ``Fraction``, a ``float`` subclass) it makes the comparisons
-    ``insert_step`` would, in the same order.  Either way it leaves the same
-    objects in the same order as ``insert_step``.  An observed sort runs
-    ``insert_step``, and a trace reports every adjacent swap.  With NaN
-    elements the result is a permutation of the input and its order is
-    unspecified.
+    from a list, neither reallocates: the sort allocates nothing.  It
+    leaves the same objects in the same order as ``insert_step``.  Every
+    other sort, observed or not (a NaN, a ``bool``, a ``Fraction``, a
+    ``float`` subclass among the elements), runs ``insert_step`` over each
+    window, so its accesses are checked and a trace reports every adjacent
+    swap.  With NaN elements the result is a permutation of the input and
+    its order is unspecified.
     """
     n = len(vec)
-    if vec.observer is None:
-        items = vec._items
-        # ints and floats without NaN are totally ordered: bisection finds where the scan stops
-        total_order = _INT_OR_FLOAT.issuperset(map(type, items)) and not any(map(ne, items, items))
+    items = vec._items
+    # ints and floats without NaN are totally ordered: bisection finds where insert_step stops
+    if (vec.observer is None and _INT_OR_FLOAT.issuperset(map(type, items))
+            and not any(map(ne, items, items))):
         for low in range(n - 2, -1, -1):
             # insert_step(vec, low, n - 2)'s first comparison; x is the element it sinks
             x = items[low]
             if x <= items[low + 1]:
                 continue
-            if total_order:
-                p = bisect_left(items, x, low + 2, n) - 1
-            else:  # insert_step's further comparisons, in its order
-                for p in range(low + 2, n):
-                    if x <= items[p]:
-                        p -= 1
-                        break
-                else:
-                    p = n - 1
+            p = bisect_left(items, x, low + 2, n) - 1
             # x passed items[low+1..p]: take x out, which shifts them left, and put it back at p
             del items[low]
             items.insert(p, x)

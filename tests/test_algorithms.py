@@ -1,7 +1,6 @@
 """Sums, average, dot product, merge and insertion sort against independent oracles."""
 
 import random
-import tracemalloc
 from fractions import Fraction
 from operator import add
 
@@ -31,6 +30,7 @@ from vecintervals import (
 )
 from vecintervals.algorithms import insertion_sort_buggy
 
+import sort_allocation
 from oracles import merge_oracle, naive_dot, naive_sum, sort_oracle
 
 
@@ -234,7 +234,7 @@ def test_insertion_sort_matches_oracle_randomized():
 
 
 def test_insertion_sort_of_reverse_sorted_fractions_matches_oracle():
-    # Fraction elements take the scan, so this is its one long run: about 45,000 comparisons
+    # Fraction elements run insert_step, so this is its one long unobserved run: about 45,000 swaps
     items = [Fraction(k, 3) for k in range(300, 0, -1)]
     vec = Vector(items)
     insertion_sort_in_place(vec)
@@ -259,24 +259,12 @@ def test_insertion_sort_never_goes_out_of_bounds():
         insertion_sort_in_place(vec)  # any OutOfBoundsError fails the test
 
 
-@pytest.mark.parametrize("items", [
-    list(range(2000, 0, -1)),
-    random.Random(1111).sample(range(2000), 2000),
-    random.Random(1212).choices(range(4), k=2000),
-], ids=["reversed", "random", "few-valued"])
-def test_unobserved_sort_allocates_no_buffer(items):
-    # each insertion moves its element inside the list's own buffer; a copy of
-    # the run it passed would hold up to 2000 pointers (16 KB)
-    vec = Vector(items)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        insertion_sort_in_place(vec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert vec.to_list() == sort_oracle(items)
-    assert peak - before < 1024
+@pytest.mark.parametrize("name", list(sort_allocation.INPUTS))
+def test_unobserved_sort_allocates_no_buffer(name):
+    items = sort_allocation.INPUTS[name]
+    result, peak = sort_allocation.sort_peak(items)
+    assert result == sort_oracle(items)
+    assert peak < sort_allocation.BOUND
 
 
 # -- the deliberately broken sort -------------------------------------------

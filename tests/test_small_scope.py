@@ -24,10 +24,11 @@ comparisons as the observed sort, so it leaves the same objects in the same
 order, and it must keep equal elements in their input order.  The
 unobserved sort bisects exact ints and floats without NaN, and bisection
 barely recurses on 12 elements, so the identity check also runs on such
-vectors of up to 300 elements with many ties.  Every other input must keep
-the scan: a logging ``float`` subclass sees exactly the observed sort's
-comparisons, and a ``bool``, a NaN, a ``Fraction`` or a ``Decimal`` make no
-bisection.
+vectors of up to 300 elements with many ties.  Every other input runs
+``insert_step``, observed or not: a logging ``float`` subclass sees exactly
+the observed sort's comparisons, which checks ``insert_step`` against
+itself and would catch a second unobserved path, and a ``bool``, a NaN, a
+``Fraction`` or a ``Decimal`` make no bisection.
 
 Equal results alone do not show that no unchecked access strays: a list
 wraps a negative index and ``list.insert`` clamps any position, so a stray
@@ -37,7 +38,9 @@ the inputs and of a merge's result, is a ``list`` subclass that records
 every index, slice and insert position as written, on the small-scope
 inputs and the long ones above.  Each must lie in its list, none negative,
 and the sort's must lie in the window its docstring proves for the element
-it inserts.
+it inserts.  On an input the sort may not bisect it writes through
+``insert_step``'s checked swaps, and only in that window; on a bisected
+input any write is a stray.
 """
 
 from __future__ import annotations
@@ -394,12 +397,18 @@ def strays(log):
             if not inside(key, 0, n if op == "insert" else n - 1)]
 
 
-def sort_strays(log, n):
-    """The sort's accesses that leave the window proved for the element it is inserting.
+def sort_strays(log, xs):
+    """The sort's accesses to ``xs`` that leave the window proved for the element it is inserting.
 
     While inserting ``low`` it reads only ``low..n-1``, bisects only
     ``low+2..n-1``, deletes exactly at ``low`` and inserts at ``low+1..n-1``.
+    Only an input it may not bisect (an element not an exact ``int`` or
+    ``float``, or a NaN) runs ``insert_step``, whose checked swaps write in
+    ``low..n-1``; on any other input a write is a stray.
     """
+    n = len(xs)
+    # x != x, not list ==, which takes a NaN as equal to itself by identity
+    bisectable = all(type(x) in (int, float) and not x != x for x in xs)
     found, low, bisection = [], None, None
     for entry in log:
         op, key = entry[0], entry[1:]
@@ -419,8 +428,8 @@ def sort_strays(log, n):
             ok = key[0] == low
         elif op == "insert":
             ok = inside(key[0], low + 1, n - 1)
-        else:  # the sort moves elements only by del and insert
-            ok = False
+        else:  # a set: insert_step's swap, on an input the sort may not bisect
+            ok = not bisectable and inside(key[0], low, n - 1)
         if not ok:
             found.append((low, entry))
     return found
@@ -430,7 +439,7 @@ def assert_witnessed_in_window(name, inputs):
     log = witnessed(OPERATIONS[name].run, inputs)
     assert strays(log) == [], (name, inputs)
     if name == "insort":
-        assert sort_strays(log, len(inputs[0])) == [], inputs
+        assert sort_strays(log, inputs[0]) == [], inputs
     return log
 
 

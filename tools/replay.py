@@ -9,17 +9,19 @@ differs, then the selftest's summary, then the parse gate's
 (``tests/parse_gate.py``): the texts checked, the number on which
 ``parse_vector_literal`` and the per-token loop differ, and the first few of
 those.  The JSON scanner that parser tries first, and ``int()``'s digit limit,
-vary by interpreter version.  Last, it imports ``vecintervals.cli`` in a
+vary by interpreter version.  Next, it imports ``vecintervals.cli`` in a
 ``python -S`` interpreter, so that no ``.pth`` file loads anything first, and
 prints the number of modules loaded and which of ``typing``, ``pathlib``,
 ``dataclasses`` and ``inspect`` are among them.  Then it runs
 ``test_public_names_are_pinned`` from ``tests/test_source.py`` and prints
-``public names: ok`` or the assertion that failed.  Exits 0 when every
-transcript is identical, every selftest case passes, the gate finds no
-difference, none of those four modules is loaded and the public names
-match, else 1.  The transcripts are the same on every supported version,
-3.10 to 3.13, so it gates each of them; the README runs it on all four in
-one loop.  Standard library only, so it runs on interpreters that have
+``public names: ok`` or the assertion that failed.  Then it sorts each
+input of ``tests/sort_allocation.py`` unobserved under ``tracemalloc`` and
+prints each peak in bytes.  Exits 0 when every transcript is identical,
+every selftest case passes, the gate finds no difference, none of those
+four modules is loaded, the public names match and every sort peaks below
+the probe's 1024-byte bound, else 1.  The transcripts are the same on
+every supported version, 3.10 to 3.13, so it gates each of them; the
+README runs it on all four in one loop.  Standard library only, so it runs on interpreters that have
 no pytest; run it without ``-O``, which strips the public-name test's
 asserts.
 """
@@ -37,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from golden_cases import CASES, command_line, load_golden, record, write_vector_files  # noqa: E402
 from parse_gate import differences  # noqa: E402
+from sort_allocation import BOUND, INPUTS, sort_peak  # noqa: E402
 from test_source import test_public_names_are_pinned  # noqa: E402
 from vecintervals.cli import parse_vector_literal  # noqa: E402
 from vecintervals.selftest import run_reference_cases  # noqa: E402
@@ -86,8 +89,11 @@ def main() -> int:
           f"{', '.join(loaded) or 'none'} of {', '.join(UNWANTED)}")
     names = public_names()
     print(f"public names: {names}")
+    peaks = {name: sort_peak(items)[1] for name, items in INPUTS.items()}
+    print(f"unobserved sort peak (bound {BOUND} B): "
+          + ", ".join(f"{name} {peak} B" for name, peak in peaks.items()))
     return 0 if (not differ and not failed and not gate_differ and not loaded
-                 and names == "ok") else 1
+                 and names == "ok" and max(peaks.values()) < BOUND) else 1
 
 
 if __name__ == "__main__":
